@@ -198,6 +198,7 @@ def _cmd_generate(args, argv) -> int:
     mode = GENERATE_MODES[args.mode]
     special = split.vocab.special
     lines = []
+    truncated = 0
     for item in split.items:
         caption_ids = (
             dt.encode_text(item.caption, split.vocab) if mode != mm.IMAGE_ONLY else None
@@ -218,11 +219,12 @@ def _cmd_generate(args, argv) -> int:
                 mask_id=special.mask,
             ),
         )
+        truncated += out.truncated
         lines.append(f"{item.id}\t{dt.decode_text(out.tokens, split.vocab)}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(_meta(args, argv), sort_keys=True) + "\n")
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} generated questions: {args.out}")
+    print(f"wrote {len(lines)} generated questions ({truncated} truncated): {args.out}")
     return EXIT_OK
 
 

@@ -2,10 +2,17 @@
 
 Appending generated tokens must never disturb the representations of earlier
 slots, so input rows attend only to input rows, and each appended row attends
-to the input plus the already-generated rows up to itself. Generation then
-re-encodes input + prefix + [MASK] each step and reads the next token at the
-mask slot. No key/value cache: recomputation keeps each step's logits exactly
-equal to an independent single call on the same prefix.
+to the input plus the already-generated rows up to itself. Each step reads the
+next token at a [MASK] slot appended after input + prefix.
+
+Because no row attends to a later one, the keys and values of the input and
+of committed tokens are final once encoded. `generate` keeps them in a
+`model.KVCache`: step 0 encodes input + [MASK] and caches the input rows;
+every later step encodes only two rows, the token just committed and the new
+[MASK], and caches the committed one. `next_token` without a cache re-encodes
+the whole sequence; it is the independent oracle the cached logits are tested
+against (equal within 1e-9). Each step runs under `numerics.no_grad()` and
+checks its logits for non-finite values once.
 """
 
 from __future__ import annotations
@@ -79,9 +86,13 @@ def next_token(
     prefix: list[int],
     *,
     mask_id: int,
+    cache: Optional[md.KVCache] = None,
 ) -> tuple[int, np.ndarray]:
     """Encode input + prefix + [MASK] and read the argmax token at the mask slot.
 
+    Without a cache the whole sequence is encoded. With one, only the rows it
+    does not hold yet are: it must be empty or hold the input plus the first
+    0..len(prefix) prefix tokens, and afterwards holds input + prefix.
     Ties in the logits resolve to the lowest token id.
     """
     n_input = len(input)
@@ -90,13 +101,24 @@ def next_token(
         raise nm.ShapeError(
             f"sequence of {total} slots exceeds max_positions {params.config.max_positions}"
         )
-    extra = list(prefix) + [mask_id]
-    extra_positions = list(range(n_input, n_input + len(extra)))
-    embedded = md.embed_extended(input, extra, extra_positions, params)
-    mask = build_left_to_right_mask(n_input, len(extra))
-    states = md.encode(embedded, mask, params)
-    mask_row = nm.take_rows(states[-1], np.array([total - 1]))
-    logits = md.decode_logits(mask_row, params).data[0]
+    past = len(cache) if cache is not None else 0
+    if past and not n_input <= past < total:
+        raise nm.StateError(f"cache holds {past} rows; expected {n_input}..{total - 1}")
+    with nm.no_grad():
+        extra = [*prefix, mask_id][max(past - n_input, 0) :]
+        positions = list(range(total - len(extra), total))
+        if past:  # the input rows are cached: embed only the appended slots
+            input = AssembledInput(mode=input.mode, slots=[], positions=[])
+        embedded = md.embed_extended(input, extra, positions, params)
+        s_new = total - past
+        allow = build_left_to_right_mask(n_input, len(prefix) + 1).allow[past:]
+        x = nm.reshape(embedded, (1, s_new, embedded.shape[1]))
+        states, _ = md.encode_states(x, allow, params, cache=cache, keep=s_new - 1)
+        mask_row = nm.reshape(nm.narrow(states[-1], 1, s_new - 1, 1), (1, embedded.shape[1]))
+        logits = md.decode_logits(mask_row, params).data[0]
+    # no_grad skipped the per-op checks; a non-finite value anywhere upstream
+    # of the mask slot reaches its logits
+    nm.check_finite(logits, "next_token")
     return int(np.argmax(logits)), logits
 
 
@@ -111,8 +133,9 @@ def generate(
     tokens: list[int] = []
     logits_log: list[np.ndarray] = [] if keep_logits else None
     truncated = False
+    cache = md.KVCache()
     for _ in range(cfg.max_length):
-        tok, logits = next_token(params, input, tokens, mask_id=cfg.mask_id)
+        tok, logits = next_token(params, input, tokens, mask_id=cfg.mask_id, cache=cache)
         if keep_logits:
             logits_log.append(logits)
         if tok == cfg.eos_id:

@@ -328,6 +328,23 @@ def _dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tens
     return nm.mul(x, keep)
 
 
+class KVCache:
+    """Attention keys and values of rows already encoded, one pair per layer.
+
+    Under the left-to-right mask a row never attends to a later one, so once a
+    row is encoded its keys and values are final. `encode_states` reads them
+    in place of re-encoding those rows and appends the new rows it is told to
+    keep. Each array is (B, num_heads, rows cached, head_dim).
+    """
+
+    def __init__(self):
+        self.keys: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return self.keys[0].shape[2] if self.keys else 0
+
+
 def encode_states(
     x: Tensor,
     allow: np.ndarray,
@@ -336,25 +353,39 @@ def encode_states(
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
     collect_attention: bool = False,
+    cache: Optional[KVCache] = None,
+    keep: Optional[int] = None,
 ):
     """Run the encoder stack on (B, S, d) input under a boolean allow mask.
 
     Returns (states, attentions): states is a list of num_layers+1 tensors
     (index 0 is the embedding input); attentions has one (B, H, S, S) array
     per layer when requested, else None.
+
+    With a `cache` holding P rows, `x` holds only the S new rows, which attend
+    to the cached keys/values and to their own: `allow` is then (B, S, P + S)
+    and attentions are (B, H, S, P + S). Afterwards the cache holds the keys
+    and values of its P rows plus the first `keep` new rows (all by default).
+    The cached rows are constants: no gradient flows back into them.
     """
     config = params.config
     b, s, d = x.shape
+    past = len(cache) if cache is not None else 0
     if allow.ndim == 2:
         allow = allow[None, :, :]
-    if allow.shape != (b, s, s) and allow.shape != (1, s, s):
+    if allow.shape != (b, s, past + s) and allow.shape != (1, s, past + s):
         raise nm.ShapeError(f"mask shape {allow.shape} incompatible with input {(b, s)}")
+    if keep is None:
+        keep = s
+    if not 0 <= keep <= s:
+        raise nm.ShapeError(f"cannot keep {keep} of {s} new rows")
     mask_add = Tensor(additive_mask(allow)[:, None, :, :].astype(x.data.dtype))
 
     h_count, dh = config.num_heads, config.head_dim
     scale = 1.0 / math.sqrt(dh)
     states = [x]
     attentions = [] if collect_attention else None
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     for i in range(config.num_layers):
         pre = f"layer{i}"
@@ -364,6 +395,11 @@ def encode_states(
         q = nm.swapaxes(nm.reshape(q, (b, s, h_count, dh)), 1, 2)
         k = nm.swapaxes(nm.reshape(k, (b, s, h_count, dh)), 1, 2)
         v = nm.swapaxes(nm.reshape(v, (b, s, h_count, dh)), 1, 2)
+        if past:
+            k = nm.concat([Tensor(cache.keys[i]), k], axis=2)
+            v = nm.concat([Tensor(cache.values[i]), v], axis=2)
+        if cache is not None:
+            kept.append((k.data[:, :, : past + keep], v.data[:, :, : past + keep]))
         scores = nm.add(nm.mul(nm.matmul(q, nm.transpose(k)), scale), mask_add)
         att = nm.softmax_rows(scores)
         if collect_attention:
@@ -388,6 +424,9 @@ def encode_states(
             eps=LAYER_NORM_EPS,
         )
         states.append(x)
+    if cache is not None:
+        cache.keys = [k for k, _ in kept]
+        cache.values = [v for _, v in kept]
     return states, attentions
 
 

@@ -4,24 +4,22 @@ Values are backed by numpy arrays (row-major). Every operation that builds a
 Tensor records enough state to push gradients back to its inputs; calling
 ``backward_gradients`` on a scalar loss fills in ``Parameter.gradient`` for
 every trainable parameter that participated in the forward pass.
+
+Inside ``no_grad()`` the operations record nothing and skip their per-op
+finiteness check; a forward-only caller checks its final output once with
+``check_finite`` instead.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the dtype used for newly created tensors (float64 or float32)."""
-    global DEFAULT_DTYPE
-    if dtype not in (np.float64, np.float32):
-        raise ShapeError(f"unsupported dtype: {dtype}")
-    DEFAULT_DTYPE = dtype
 
 
 class ShapeError(ValueError):
@@ -39,8 +37,8 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A dense array node in the computation graph.
 
-    Leaf tensors either belong to a Parameter (then `param` is set) or are
-    constants; interior tensors carry a vjp closure over their parents.
+    Leaf tensors either belong to a Parameter (then `param` is a weak proxy to
+    it) or are constants; interior tensors carry a vjp closure over their parents.
     """
 
     __slots__ = ("data", "_parents", "_vjp", "param")
@@ -96,9 +94,14 @@ class Tensor:
 
 
 class Parameter:
-    """Named learnable tensor with a gradient buffer of identical shape."""
+    """Named learnable tensor with a gradient buffer of identical shape.
 
-    __slots__ = ("id", "value", "gradient", "trainable")
+    The wrapped tensor points back through a weak proxy, so a parameter is
+    freed by reference counting as soon as its owner drops it; it must outlive
+    any graph that `backward_gradients` walks.
+    """
+
+    __slots__ = ("id", "value", "gradient", "trainable", "__weakref__")
 
     def __init__(self, id: str, value, trainable: bool = True):
         tensor = value if isinstance(value, Tensor) else Tensor(value)
@@ -108,7 +111,7 @@ class Parameter:
         self.value = tensor
         self.gradient = np.zeros_like(tensor.data)
         self.trainable = trainable
-        tensor.param = self
+        tensor.param = weakref.proxy(self)
 
     @property
     def shape(self) -> tuple:
@@ -139,6 +142,27 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only mode: operations build no parents or vjp closures and skip
+    their per-op finiteness check. Nests, and restores the mode on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def check_finite(x, what: str) -> None:
+    """Raise NumericError if a tensor or array holds a NaN or an infinity."""
+    _check_finite(x.data if isinstance(x, Tensor) else np.asarray(x), what)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -158,6 +182,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_pair(a, b)
     out = a.data + b.data
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -168,6 +194,8 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_pair(a, b)
     out = a.data * b.data
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -182,6 +210,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
@@ -201,6 +231,8 @@ def affine(x, w, b) -> Tensor:
     if b.shape[0] != w.shape[1]:
         raise ShapeError(f"affine bias dim {b.shape[0]} != output dim {w.shape[1]}")
     out = x.data @ w.data + b.data
+    if not _grad_enabled:
+        return Tensor(out)
     _check_finite(out, "affine")
 
     def vjp(g):
@@ -216,6 +248,8 @@ def transpose(a) -> Tensor:
     """Swap the last two axes."""
     a = _as_tensor(a)
     out = np.swapaxes(a.data, -1, -2)
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         return (np.swapaxes(g, -1, -2),)
@@ -226,6 +260,8 @@ def transpose(a) -> Tensor:
 def swapaxes(a, i: int, j: int) -> Tensor:
     a = _as_tensor(a)
     out = np.swapaxes(a.data, i, j)
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         return (np.swapaxes(g, i, j),)
@@ -236,6 +272,8 @@ def swapaxes(a, i: int, j: int) -> Tensor:
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(tuple(shape))
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         return (g.reshape(a.shape),)
@@ -246,6 +284,8 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
     out = np.concatenate([p.data for p in parts], axis=axis)
+    if not _grad_enabled:
+        return Tensor(out)
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -269,6 +309,8 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     out = a.data[index]
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -287,6 +329,8 @@ def take_rows(table, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"row index out of range for table with {table.shape[0]} rows")
     out = table.data[idx]
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         gt = np.zeros_like(table.data)
@@ -302,6 +346,8 @@ def softmax_rows(x) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
+    if not _grad_enabled:
+        return Tensor(out)
     _check_finite(out, "softmax_rows")
 
     def vjp(g):
@@ -323,6 +369,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
     out = normed * gain.data + bias.data
+    if not _grad_enabled:
+        return Tensor(out)
     _check_finite(out, "layer_norm")
 
     def vjp(g):
@@ -349,6 +397,8 @@ def gelu(x) -> Tensor:
     x_sq = xd * xd
     t = np.tanh(_GELU_C * xd * (1.0 + 0.044715 * x_sq))
     out = 0.5 * xd * (1.0 + t)
+    if not _grad_enabled:
+        return Tensor(out)
     _check_finite(out, "gelu")
 
     def vjp(g):
@@ -382,6 +432,8 @@ def cross_entropy(logits, targets, ignore_id: int = -1) -> Tensor:
     rows = np.nonzero(keep)[0]
     nll = logz[rows] - shifted[rows, ids[rows]]
     out = nll.sum() / n_valid
+    if not _grad_enabled:
+        return Tensor(out)
     _check_finite(np.asarray(out), "cross_entropy")
 
     def vjp(g):
@@ -398,19 +450,11 @@ def cross_entropy(logits, targets, ignore_id: int = -1) -> Tensor:
 def sum_all(x) -> Tensor:
     x = _as_tensor(x)
     out = x.data.sum()
+    if not _grad_enabled:
+        return Tensor(out)
 
     def vjp(g):
         return (np.full_like(x.data, float(g)),)
-
-    return Tensor(out, (x,), vjp)
-
-
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.mean()
-
-    def vjp(g):
-        return (np.full_like(x.data, float(g) / x.size),)
 
     return Tensor(out, (x,), vjp)
 

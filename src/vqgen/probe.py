@@ -20,6 +20,7 @@ import numpy as np
 
 from . import model as md
 from . import multimodal as mm
+from . import numerics as nm
 from .generation import build_left_to_right_mask
 
 RANDOM_BASELINE_SEED = 424242
@@ -93,7 +94,9 @@ def xsim_per_layer(
             (caption_input, caption_input.text_span),
         ):
             mask = build_left_to_right_mask(len(inp), 0)
-            states = md.encode(md.embed_sequence(inp, params), mask, params)
+            with nm.no_grad():
+                states = md.encode(md.embed_sequence(inp, params), mask, params)
+            nm.check_finite(states[-1], "encode")  # the one check no_grad leaves
             per_layer.append([s.data[lo:hi].mean(axis=0) for s in states[1:]])
         for layer in range(config.num_layers):
             sums[layer] += cosine(per_layer[0][layer], per_layer[1][layer])
@@ -116,10 +119,12 @@ def attention_summary(
     n = len(input)
     extra = [int(t) for t in generated]
     positions = list(range(n, n + len(extra)))
-    embedded = md.embed_extended(input, extra, positions, params)
     mask = build_left_to_right_mask(n, len(extra))
-    _, attentions = md.encode(embedded, mask, params, collect_attention=True)
+    with nm.no_grad():
+        embedded = md.embed_extended(input, extra, positions, params)
+        _, attentions = md.encode(embedded, mask, params, collect_attention=True)
     last = attentions[-1]  # (heads, S, S)
+    nm.check_finite(last, "attention")
     rows = last[:, n : n + len(extra), :]
     weights = rows.mean(axis=(0, 1))[:n]
     return AttentionSummary(input_weights=weights, argmax_slot=int(np.argmax(weights)))

@@ -100,6 +100,18 @@ class TestPipeline:
         assert extras["seed"] == "5"
         assert extras["command"].startswith("vqgen train")
 
+    def test_generate_reports_truncations(self, pipeline, tmp_path, capsys):
+        _, data, _, _, _, s3, *_ = pipeline
+        out = tmp_path / "short.tsv"
+        capsys.readouterr()
+        assert run(["generate", "--data", str(data), "--split", "test", "--ckpt", str(s3),
+                    "--mode", "both", "--max-length", "1", "--out", str(out)]) == 0
+        # with room for one token, an item is truncated exactly when it did not stop at EOS
+        texts = [line.split("\t", 1)[1] for line in out.read_text().splitlines()[1:]]
+        truncated = sum(1 for text in texts if text)
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert summary == f"wrote 4 generated questions ({truncated} truncated): {out}"
+
 
 class TestDeterminism:
     def test_identical_argv_identical_artifacts(self, tmp_path):
@@ -185,6 +197,21 @@ class TestErrors:
                     "--out", str(tmp_path / "g.tsv")])
         assert code == 3
 
+    def test_nan_weight_generate_exits_5(self, tmp_path, pipeline, capsys):
+        from vqgen import model as md
+
+        _, data, _, s1, *_ = pipeline
+        config, params, extras = md.load_checkpoint(s1)
+        params["layer0.ffn.w1"].value.data[0, 0] = float("nan")
+        bad = tmp_path / "nan.ckpt"
+        md.save_checkpoint(bad, config, params, extras)
+        capsys.readouterr()
+        code = run(["generate", "--data", str(data), "--split", "test", "--ckpt", str(bad),
+                    "--mode", "caption", "--out", str(tmp_path / "g.tsv")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert len(err.strip().splitlines()) == 1
+        assert "NumericError" in err
 
     def test_probe_empty_caption_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -159,3 +159,114 @@ class TestGenerate:
                 reference = final
             else:
                 assert np.max(np.abs(final - reference)) < 1e-9
+
+
+def random_visual(cfg, rng):
+    relevance = sorted(rng.random(cfg.num_regions), reverse=True)
+    return mm.VisualSequence([
+        mm.ObjectRegion(rng.normal(size=cfg.feature_dim), rng.uniform(0, 1, size=4), float(r))
+        for r in relevance
+    ])
+
+
+def random_input(cfg, mode, rng):
+    caption = [int(t) for t in rng.integers(6, cfg.vocab_size, size=3)]
+    return mm.assemble_input(
+        mode,
+        visual=random_visual(cfg, rng) if mode != mm.CAPTION_ONLY else None,
+        caption=caption if mode != mm.IMAGE_ONLY else None,
+        cls_id=SP.cls,
+        sep_id=SP.sep,
+    )
+
+
+def uncached_greedy(params, inp, max_length):
+    """Greedy decode through full re-encodes: (tokens, per-step logits, truncated)."""
+    tokens, logits_log = [], []
+    for _ in range(max_length):
+        tok, logits = gen.next_token(params, inp, tokens, mask_id=SP.mask)
+        logits_log.append(logits)
+        if tok == SP.eos:
+            return tokens, logits_log, False
+        tokens.append(tok)
+    return tokens, logits_log, True
+
+
+def assert_cached_matches_uncached(params, inp, max_length):
+    out = gen.generate(params, inp, gen.GenerationConfig(max_length=max_length), keep_logits=True)
+    tokens, logits_log, truncated = uncached_greedy(params, inp, max_length)
+    assert out.tokens == tokens
+    assert out.truncated is truncated
+    assert len(out.step_logits) == len(logits_log)
+    for cached, solo in zip(out.step_logits, logits_log):
+        assert np.max(np.abs(cached - solo)) < 1e-9
+    return out
+
+
+class TestCachedDecoding:
+    @pytest.mark.parametrize("mode", mm.MODES)
+    @pytest.mark.parametrize("use_type_embeddings", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_uncached_oracle(self, mode, use_type_embeddings, seed):
+        cfg = tiny_config(use_type_embeddings=use_type_embeddings)
+        params = md.init_parameters(cfg, seed)
+        rng = np.random.default_rng(seed)
+        inp = random_input(cfg, mode, rng)
+        assert_cached_matches_uncached(params, inp, max_length=6)
+
+    @pytest.mark.parametrize("mode", mm.MODES)
+    def test_appended_rows_get_text_type_row(self, mode):
+        # appended rows carry the text type row: rescaling that row moves the
+        # cached logits exactly as it moves the oracle's
+        cfg = tiny_config(use_type_embeddings=True)
+        params = md.init_parameters(cfg, 5)
+        params["embeddings.type"].value.data[1] *= 40.0
+        inp = random_input(cfg, mode, np.random.default_rng(5))
+        assert_cached_matches_uncached(params, inp, max_length=4)
+
+    def test_max_length_at_max_positions(self):
+        cfg = tiny_config(max_positions=10)
+        params = md.init_parameters(cfg, 1)
+        rig_constant_winner(params, 7, margin=5.0)
+        inp = caption_input(cfg, [8, 9, 10])
+        room = cfg.max_positions - len(inp)  # the last step's mask slot is the last position
+        out = assert_cached_matches_uncached(params, inp, max_length=room)
+        assert out.tokens == [7] * room and out.truncated is True
+        with pytest.raises(nm.ShapeError) as oracle:
+            gen.next_token(params, inp, [7] * room, mask_id=SP.mask)
+        with pytest.raises(nm.ShapeError) as cached:
+            gen.generate(params, inp, gen.GenerationConfig(max_length=room + 1))
+        assert str(cached.value) == str(oracle.value)
+
+    def test_cache_holds_input_and_prefix(self):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 2)
+        inp = caption_input(cfg, [8, 9])
+        cache = md.KVCache()
+        gen.next_token(params, inp, [], mask_id=SP.mask, cache=cache)
+        assert len(cache) == len(inp)
+        _, logits = gen.next_token(params, inp, [6, 7], mask_id=SP.mask, cache=cache)
+        assert len(cache) == len(inp) + 2
+        assert len(cache.keys) == cfg.num_layers
+        _, solo = gen.next_token(params, inp, [6, 7], mask_id=SP.mask)
+        assert np.max(np.abs(logits - solo)) < 1e-9
+
+    def test_cache_of_wrong_length_rejected(self):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 2)
+        cache = md.KVCache()
+        gen.next_token(params, caption_input(cfg, [8, 9]), [], mask_id=SP.mask, cache=cache)
+        with pytest.raises(nm.StateError):
+            gen.next_token(params, caption_input(cfg, [8, 9, 10, 11]), [], mask_id=SP.mask,
+                           cache=cache)
+
+
+class TestNonFiniteWeights:
+    def test_nan_weight_raises_numeric_error(self):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 0)
+        params["layer0.ffn.w1"].value.data[0, 0] = np.nan
+        with pytest.raises(nm.NumericError):
+            gen.generate(params, caption_input(cfg, [8]), gen.GenerationConfig(max_length=3))
+        with pytest.raises(nm.NumericError):
+            gen.next_token(params, caption_input(cfg, [8]), [], mask_id=SP.mask)

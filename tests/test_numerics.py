@@ -369,3 +369,91 @@ class TestTensorBasics:
         a = Tensor(np.ones((2, 2), dtype=np.float32))
         out = nm.mul(nm.add(a, 1.5), 2.0)
         assert out.data.dtype == np.float32
+
+
+def _forward(x, w, b):
+    """A small chain through every op kind the encoder uses."""
+    h = nm.gelu(affine(x, w, b))
+    h = layer_norm(nm.add(h, x), nm.Tensor(np.ones(3)), nm.Tensor(np.zeros(3)))
+    h = softmax_rows(nm.matmul(h, nm.transpose(h)))
+    h = nm.reshape(nm.swapaxes(nm.concat([h, h], axis=0), 0, 1), (4, 2))
+    h = nm.mul(nm.narrow(h, 0, 1, 2), 2.0)
+    h = nm.take_rows(h, [1, 0])
+    return sum_all(h), cross_entropy(h, [0, 1])
+
+
+class TestNoGrad:
+    def make(self):
+        rng = np.random.default_rng(0)
+        return (Parameter("x", rng.normal(size=(2, 3))), Parameter("w", rng.normal(size=(3, 3))),
+                Parameter("b", rng.normal(size=3)))
+
+    def test_ops_record_nothing(self):
+        x, w, b = self.make()
+        with nm.no_grad():
+            outs = _forward(x.value, w.value, b.value)
+        for out in outs:
+            assert out._parents == () and out._vjp is None
+            with pytest.raises(nm.StateError):
+                backward_gradients(out, [x, w, b])
+
+    def test_same_values_as_recorded_forward(self):
+        x, w, b = self.make()
+        recorded = _forward(x.value, w.value, b.value)
+        with nm.no_grad():
+            bare = _forward(x.value, w.value, b.value)
+        for r, n in zip(recorded, bare):
+            assert r._parents and np.array_equal(r.data, n.data)
+
+    def test_restored_after_exception(self):
+        x, w, b = self.make()
+        with pytest.raises(RuntimeError):
+            with nm.no_grad():
+                raise RuntimeError("inside")
+        _, loss = _forward(x.value, w.value, b.value)
+        backward_gradients(loss, [x, w, b])
+        assert np.any(w.gradient != 0)
+
+    def test_nesting(self):
+        x, w, b = self.make()
+        with nm.no_grad():
+            with nm.no_grad():
+                assert affine(x.value, w.value, b.value)._parents == ()
+            assert affine(x.value, w.value, b.value)._parents == ()
+        assert affine(x.value, w.value, b.value)._parents != ()
+
+    def test_per_op_check_skipped_and_caller_check(self):
+        x, w, b = self.make()
+        w.value.data[0, 0] = np.nan
+        with pytest.raises(nm.NumericError):
+            affine(x.value, w.value, b.value)
+        with nm.no_grad():
+            out = nm.gelu(affine(x.value, w.value, b.value))
+        with pytest.raises(nm.NumericError):
+            nm.check_finite(out, "forward")
+        nm.check_finite(x.value, "input")
+
+
+class TestParameterLifetime:
+    def test_freed_without_cyclic_gc(self):
+        import gc
+        import weakref
+
+        from vqgen import model as md
+
+        cfg = md.ModelConfig(num_layers=1, num_heads=2, model_dim=8, ffn_dim=16, vocab_size=12,
+                             max_positions=8, feature_dim=4, num_regions=2)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            params = md.init_parameters(cfg, 0)
+            p = params["layer0.ffn.w1"]
+            assert p.value.param.id == "layer0.ffn.w1"
+            assert p.value.param.trainable is True
+            assert p.value.param.gradient is p.gradient
+            array = weakref.ref(p.value.data)
+            del p, params
+            assert array() is None
+        finally:
+            if enabled:
+                gc.enable()
