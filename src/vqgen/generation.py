@@ -8,11 +8,11 @@ next token at a [MASK] slot appended after input + prefix.
 Because no row attends to a later one, the keys and values of the input and
 of committed tokens are final once encoded. `generate` keeps them in a
 `model.KVCache`: step 0 encodes input + [MASK] and caches the input rows;
-every later step encodes only two rows, the token just committed and the new
-[MASK], and caches the committed one. `next_token` without a cache re-encodes
-the whole sequence; it is the independent oracle the cached logits are tested
-against (equal within 1e-9). Each step runs under `numerics.no_grad()` and
-checks its logits for non-finite values once.
+every later step embeds and encodes only two rows, the token just committed
+and the new [MASK], and caches the committed one. `next_token` without a
+cache re-encodes the whole sequence; it is the independent oracle the cached
+logits are tested against (equal within 1e-9). Each step runs under
+`numerics.no_grad()` and checks its logits for non-finite values once.
 """
 
 from __future__ import annotations
@@ -44,13 +44,10 @@ class GenerationConfig:
     max_length: int = 24
     eos_id: int = 5
     mask_id: int = 4
-    strategy: str = "greedy"
 
     def __post_init__(self):
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
-        if self.strategy != "greedy":
-            raise ValueError(f"unsupported decode strategy {self.strategy!r}")
 
 
 @dataclass
@@ -107,14 +104,15 @@ def next_token(
     with nm.no_grad():
         extra = [*prefix, mask_id][max(past - n_input, 0) :]
         positions = list(range(total - len(extra), total))
-        if past:  # the input rows are cached: embed only the appended slots
-            input = AssembledInput(mode=input.mode, slots=[], positions=[])
-        embedded = md.embed_extended(input, extra, positions, params)
         s_new = total - past
+        if past:  # the input rows are cached: embed only the appended slots
+            x = md.embed_rows(params, np.array([extra]), np.array([positions]), None, (0, 0))
+        else:
+            embedded = md.embed_extended(input, extra, positions, params)
+            x = nm.reshape(embedded, (1, *embedded.shape))
         allow = build_left_to_right_mask(n_input, len(prefix) + 1).allow[past:]
-        x = nm.reshape(embedded, (1, s_new, embedded.shape[1]))
         states, _ = md.encode_states(x, allow, params, cache=cache, keep=s_new - 1)
-        mask_row = nm.reshape(nm.narrow(states[-1], 1, s_new - 1, 1), (1, embedded.shape[1]))
+        mask_row = nm.reshape(nm.narrow(states[-1], 1, s_new - 1, 1), (1, x.shape[2]))
         logits = md.decode_logits(mask_row, params).data[0]
     # no_grad skipped the per-op checks; a non-finite value anywhere upstream
     # of the mask slot reaches its logits

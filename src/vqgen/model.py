@@ -1,5 +1,8 @@
 """Transformer encoder with tied-embedding decoding head and checkpoint I/O.
 
+One batched embedding, `embed_rows`, turns token ids and region vectors into
+input rows; the single-sequence helpers call it with a batch of one.
+
 The encoder is a stack of post-norm blocks (masked multi-head self-attention,
 then a gelu feed-forward, each with residual + layer norm). The decoding head
 is a feed-forward layer, a layer norm, and a matmul against the transposed
@@ -17,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .multimodal import AssembledInput, CrossModalProjection
+from .multimodal import AssembledInput
 from .numerics import Parameter, Tensor
 
 LAYER_NORM_EPS = 1e-12
@@ -43,16 +46,6 @@ class SpecialTokens:
     sep: int = 3
     mask: int = 4
     eos: int = 5
-
-    def all_ids(self) -> tuple[int, ...]:
-        return (self.pad, self.unk, self.cls, self.sep, self.mask, self.eos)
-
-    def validate(self, vocab_size: int) -> None:
-        ids = self.all_ids()
-        if len(set(ids)) != len(ids):
-            raise ConfigError("special token ids must be distinct")
-        if any(i < 0 or i >= vocab_size for i in ids):
-            raise ConfigError("special token ids must be < vocab_size")
 
 
 @dataclass
@@ -102,9 +95,6 @@ class ModelConfig:
         return cls(**kwargs)
 
 
-_PROJECTION_NAMES = ("projection.weight", "projection.bias")
-
-
 class Parameters:
     """All learnable weights, keyed by stable names in registration order."""
 
@@ -123,19 +113,6 @@ class Parameters:
 
     def names(self) -> list[str]:
         return list(self._store.keys())
-
-    def theta(self) -> list[Parameter]:
-        """Every backbone parameter, i.e. everything except the projection."""
-        return [p for n, p in self._store.items() if n not in _PROJECTION_NAMES]
-
-    def projection_params(self) -> list[Parameter]:
-        return [self._store[n] for n in _PROJECTION_NAMES]
-
-    @property
-    def projection(self) -> CrossModalProjection:
-        return CrossModalProjection(
-            weight=self._store["projection.weight"], bias=self._store["projection.bias"]
-        )
 
     def set_trainable(self, names: Sequence[str] | None = None, *, value: bool = True) -> None:
         targets = self._store.keys() if names is None else names
@@ -245,68 +222,82 @@ def init_parameters(config: ModelConfig, seed: int) -> Parameters:
 # ---------------------------------------------------------------------------
 
 
+def input_arrays(input: AssembledInput) -> tuple[np.ndarray, np.ndarray]:
+    """An input's token ids (0 in region slots) and its stacked region vectors.
+
+    Region slots must fill `visual_span` exactly; the regions array is
+    (v1 - v0, object_dim), or (0,) for an input without regions.
+    """
+    v0, v1 = input.visual_span
+    ids = np.zeros(len(input), dtype=np.int64)
+    regions = []
+    for i, slot in enumerate(input.slots):
+        is_token = isinstance(slot, (int, np.integer))
+        if is_token == (v0 <= i < v1):
+            kind = "token" if is_token else "region"
+            raise nm.ShapeError(f"{kind} slot {i} disagrees with visual_span {input.visual_span}")
+        if is_token:
+            ids[i] = slot
+        else:
+            regions.append(np.asarray(slot, dtype=np.float64))
+    return ids, np.array(regions, dtype=np.float64)
+
+
+def embed_rows(
+    params: Parameters,
+    ids: np.ndarray,
+    positions: np.ndarray,
+    regions: Optional[np.ndarray],
+    visual_span: tuple[int, int],
+) -> Tensor:
+    """Embed a (B, S) batch of slots; shape (B, S, model_dim).
+
+    Rows outside `visual_span` are token-embedding rows of `ids`; the rows
+    inside it are the (B, v1 - v0, object_dim) `regions` projected through the
+    cross-modal linear layer. Every row then gets its position row, and with
+    type embeddings its type row (0 for regions, 1 for tokens).
+    """
+    config = params.config
+    b, s = ids.shape
+    if positions.size and positions.max() >= config.max_positions:
+        raise nm.ShapeError(
+            f"position {int(positions.max())} exceeds max_positions {config.max_positions}"
+        )
+    v0, v1 = visual_span
+    content = nm.take_rows(params["embeddings.token"].value, ids)
+    if v1 > v0:
+        if regions.shape != (b, v1 - v0, config.object_dim):
+            raise nm.ShapeError(
+                f"regions are {regions.shape}, expected {(b, v1 - v0, config.object_dim)}"
+            )
+        vis = nm.affine(
+            regions.astype(params.dtype),
+            params["projection.weight"].value,
+            params["projection.bias"].value,
+        )
+        content = nm.concat(
+            [nm.narrow(content, 1, 0, v0), vis, nm.narrow(content, 1, v1, s - v1)], axis=1
+        )
+    out = nm.add(content, nm.take_rows(params["embeddings.position"].value, positions))
+    if config.use_type_embeddings:
+        types = np.ones((b, s), dtype=np.int64)
+        types[:, v0:v1] = 0
+        out = nm.add(out, nm.take_rows(params["embeddings.type"].value, types))
+    return out
+
+
 def embed_extended(
     input: AssembledInput,
     extra_tokens: Sequence[int],
     extra_positions: Sequence[int],
     params: Parameters,
 ) -> Tensor:
-    """Embed an assembled input plus appended text tokens, one row per slot.
-
-    Token slots become token-embedding + position rows; region slots are
-    projected through the cross-modal linear layer and then get the same
-    position rows. Nothing else marks which modality a row came from.
-    """
-    config = params.config
+    """Embed an assembled input plus appended text tokens; shape (S, model_dim)."""
+    ids, regions = input_arrays(input)
+    ids = np.concatenate([ids, np.asarray(extra_tokens, dtype=np.int64)])
     positions = np.concatenate([input.positions, np.asarray(extra_positions, dtype=np.int64)])
-    if positions.size and positions.max() >= config.max_positions:
-        raise nm.ShapeError(
-            f"position {int(positions.max())} exceeds max_positions {config.max_positions}"
-        )
-
-    blocks: list[Tensor] = []
-    run_tokens: list[int] = []
-
-    def flush_tokens():
-        if run_tokens:
-            ids = np.asarray(run_tokens, dtype=np.int64)
-            if ids.min() < 0 or ids.max() >= config.vocab_size:
-                raise nm.ShapeError("token id outside vocabulary")
-            blocks.append(nm.take_rows(params["embeddings.token"].value, ids))
-            run_tokens.clear()
-
-    run_regions: list[np.ndarray] = []
-
-    def flush_regions():
-        if run_regions:
-            stacked = np.stack(run_regions).astype(params.dtype)
-            if stacked.shape[1] != config.object_dim:
-                raise nm.ShapeError(
-                    f"object embedding dim {stacked.shape[1]} != {config.object_dim}"
-                )
-            blocks.append(
-                nm.affine(stacked, params["projection.weight"].value, params["projection.bias"].value)
-            )
-            run_regions.clear()
-
-    for slot in list(input.slots) + [int(t) for t in extra_tokens]:
-        if isinstance(slot, (int, np.integer)):
-            flush_regions()
-            run_tokens.append(int(slot))
-        else:
-            flush_tokens()
-            run_regions.append(np.asarray(slot, dtype=np.float64))
-    flush_tokens()
-    flush_regions()
-
-    content = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=0)
-    out = nm.add(content, nm.take_rows(params["embeddings.position"].value, positions))
-    if config.use_type_embeddings:
-        types = np.ones(len(positions), dtype=np.int64)
-        v0, v1 = input.visual_span
-        types[v0:v1] = 0
-        out = nm.add(out, nm.take_rows(params["embeddings.type"].value, types))
-    return out
+    out = embed_rows(params, ids[None], positions[None], regions[None], input.visual_span)
+    return nm.reshape(out, out.shape[1:])
 
 
 def embed_sequence(input: AssembledInput, params: Parameters) -> Tensor:
@@ -558,4 +549,6 @@ def load_checkpoint(path):
             n_items = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read_exact(fh, 4 * n_items), dtype="<f4")
             store[name] = Parameter(name, data.astype(nm.DEFAULT_DTYPE).reshape(shape))
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after the last tensor")
     return config, Parameters(config, store), extras

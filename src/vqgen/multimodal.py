@@ -1,5 +1,5 @@
-"""Images as sequences: object regions, their embeddings, and the linear
-projection that carries them into the text model's embedding space."""
+"""Images as sequences: object regions, their embeddings, and the unified
+input layout that puts them beside caption tokens."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-
-from . import numerics as nm
-from .numerics import Parameter, Tensor
 
 CAPTION_ONLY = "caption_only"
 IMAGE_ONLY = "image_only"
@@ -65,22 +62,6 @@ class VisualSequence:
         return len(self.regions)
 
 
-@dataclass
-class CrossModalProjection:
-    """The single linear map (and bias) from object embeddings to model space."""
-
-    weight: Parameter
-    bias: Parameter
-
-    @property
-    def input_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weight.shape[1]
-
-
 Slot = Union[int, np.ndarray]  # token id, or an object embedding vector
 
 
@@ -106,15 +87,6 @@ class AssembledInput:
 def object_embedding(region: ObjectRegion) -> np.ndarray:
     """Concatenate the region's features and box into one vector."""
     return np.concatenate([region.features, region.box])
-
-
-def project_region(o: np.ndarray, proj: CrossModalProjection) -> Tensor:
-    """Affine map of one object embedding into the model dimension."""
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape != (proj.input_dim,):
-        raise nm.ShapeError(f"object embedding has dim {o.shape}, expected ({proj.input_dim},)")
-    out = nm.affine(o.reshape(1, -1), proj.weight.value, proj.bias.value)
-    return nm.reshape(out, (proj.output_dim,))
 
 
 def assemble_input(

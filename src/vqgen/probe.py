@@ -1,7 +1,6 @@
 """Cross-modal alignment probe: per-layer cosine between the mean region state
 of an image-only encoding and the mean caption-token state of the matching
-caption-only encoding, plus a summary of which input slots the generated
-tokens attend to in the last layer.
+caption-only encoding.
 
 The [CLS] row is left out of X_sim: it is the same token at the same position
 in both inputs, so its cosine starts at exactly 1 and stays high whatever
@@ -41,12 +40,6 @@ class ProbeReport:
         for i, value in enumerate(self.xsim, start=1):
             lines.append(f"{i}\t{self.model_label}\t{value:.6f}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class AttentionSummary:
-    input_weights: np.ndarray  # mean last-layer attention received per input slot
-    argmax_slot: int
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -102,32 +95,6 @@ def xsim_per_layer(
             sums[layer] += cosine(per_layer[0][layer], per_layer[1][layer])
     values = sums / len(paired_set)
     return ProbeReport(model_label=label, xsim=[float(v) for v in values], items=len(paired_set))
-
-
-def attention_summary(
-    params: md.Parameters,
-    input: mm.AssembledInput,
-    generated: Sequence[int],
-) -> AttentionSummary:
-    """Mean last-layer attention from the generated rows onto each input slot.
-
-    Head-averaged; the remainder of each softmax row falls on the generated
-    slots themselves, so the reported weights sum to at most one.
-    """
-    if not generated:
-        raise ProbeError("no generated tokens to summarize")
-    n = len(input)
-    extra = [int(t) for t in generated]
-    positions = list(range(n, n + len(extra)))
-    mask = build_left_to_right_mask(n, len(extra))
-    with nm.no_grad():
-        embedded = md.embed_extended(input, extra, positions, params)
-        _, attentions = md.encode(embedded, mask, params, collect_attention=True)
-    last = attentions[-1]  # (heads, S, S)
-    nm.check_finite(last, "attention")
-    rows = last[:, n : n + len(extra), :]
-    weights = rows.mean(axis=(0, 1))[:n]
-    return AttentionSummary(input_weights=weights, argmax_slot=int(np.argmax(weights)))
 
 
 def random_baseline(config: md.ModelConfig) -> md.Parameters:

@@ -192,13 +192,7 @@ def teacher_forced_logits(
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Per-step next-token logits, shape (T+1, V); row t predicts y_t (last row EOS)."""
-    n = len(example.input)
-    extra_tokens, extra_positions, pred_rows, _ = _example_rows(example, special)
-    embedded = md.embed_extended(example.input, extra_tokens, extra_positions, params)
-    allow = teacher_forcing_mask(n, len(example.target))
-    states = md.encode(embedded, allow, params, dropout=dropout, rng=rng)
-    rows = nm.take_rows(states[-1], np.asarray(pred_rows))
-    return md.decode_logits(rows, params)
+    return _batch_logits(params, Batch([example]), special, dropout=dropout, rng=rng)[0]
 
 
 def sequence_log_prob(
@@ -219,70 +213,39 @@ def _embed_batch(
     special: md.SpecialTokens,
     r_max: int,
 ) -> Tensor:
-    """Batched (B, R, d) embedding of teacher-forcing rows.
+    """Batched (B, R, d) embedding of teacher-forcing rows, padded to R = r_max.
 
     Region slots occupy the same rows in every example of an image-mode batch
-    (the assembled layout is uniform), so one projection affine covers them.
+    (the assembled layout is uniform), so one projection covers them.
     """
-    config = params.config
     b_size = len(batch.examples)
     ids = np.full((b_size, r_max), special.pad, dtype=np.int64)
     positions = np.zeros((b_size, r_max), dtype=np.int64)
-    first = batch.examples[0].input
-    v0, v1 = first.visual_span
-    regions = None
-    if v1 > v0:
-        regions = np.zeros((b_size, v1 - v0, config.object_dim))
+    regions, layouts = [], set()
     for b, ex in enumerate(batch.examples):
-        if ex.input.visual_span != (v0, v1):
-            raise ValueError("mixed input layouts inside one batch")
+        input_ids, input_regions = md.input_arrays(ex.input)
+        layouts.add((ex.input.visual_span, input_regions.shape))
         extra_tokens, extra_positions, _, _ = _example_rows(ex, special)
-        row = 0
-        for slot in ex.input.slots:
-            if isinstance(slot, (int, np.integer)):
-                ids[b, row] = int(slot)
-            else:
-                regions[b, row - v0] = slot
-            row += 1
-        ids[b, row : row + len(extra_tokens)] = extra_tokens
-        positions[b, : len(ex.input.positions)] = ex.input.positions
-        positions[b, row : row + len(extra_positions)] = extra_positions
-    if positions.max() >= config.max_positions:
-        raise nm.ShapeError(
-            f"position {int(positions.max())} exceeds max_positions {config.max_positions}"
-        )
-    content = nm.take_rows(params["embeddings.token"].value, ids)
-    if regions is not None:
-        vis = nm.affine(
-            regions.astype(params.dtype),
-            params["projection.weight"].value,
-            params["projection.bias"].value,
-        )
-        content = nm.concat(
-            [
-                nm.narrow(content, 1, 0, v0),
-                vis,
-                nm.narrow(content, 1, v1, r_max - v1),
-            ],
-            axis=1,
-        )
-    out = nm.add(content, nm.take_rows(params["embeddings.position"].value, positions))
-    if config.use_type_embeddings:
-        types = np.ones((b_size, r_max), dtype=np.int64)
-        types[:, v0:v1] = 0
-        out = nm.add(out, nm.take_rows(params["embeddings.type"].value, types))
-    return out
+        r = len(input_ids) + len(extra_tokens)
+        ids[b, :r] = np.concatenate([input_ids, extra_tokens])
+        positions[b, :r] = np.concatenate([ex.input.positions, extra_positions])
+        regions.append(input_regions)
+    if len(layouts) > 1:
+        raise nm.ShapeError("mixed input layouts or region dims inside one batch")
+    visual_span = batch.examples[0].input.visual_span
+    return md.embed_rows(params, ids, positions, np.stack(regions), visual_span)
 
 
-def stage_loss(
+def _batch_logits(
     params: md.Parameters,
     batch: Batch,
-    special: md.SpecialTokens = md.SpecialTokens(),
+    special: md.SpecialTokens,
     *,
-    dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Mean next-token cross-entropy over every prediction slot in the batch."""
+    dropout: float,
+    rng: Optional[np.random.Generator],
+) -> tuple[Tensor, np.ndarray]:
+    """Logits at every prediction slot of the batch, example by example, and
+    the labels they are scored against."""
     if not batch.examples:
         raise ValueError("empty batch")
     d = params.config.model_dim
@@ -306,8 +269,20 @@ def stage_loss(
     states, _ = md.encode_states(x, allow, params, dropout=dropout, rng=rng)
     flat = nm.reshape(states[-1], (len(batch.examples) * r_max, d))
     pred_states = nm.take_rows(flat, np.asarray(flat_pred_rows))
-    logits = md.decode_logits(pred_states, params)
-    return nm.cross_entropy(logits, np.asarray(labels), ignore_id=IGNORE_ID)
+    return md.decode_logits(pred_states, params), np.asarray(labels)
+
+
+def stage_loss(
+    params: md.Parameters,
+    batch: Batch,
+    special: md.SpecialTokens = md.SpecialTokens(),
+    *,
+    dropout: float = 0.0,
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """Mean next-token cross-entropy over every prediction slot in the batch."""
+    logits, labels = _batch_logits(params, batch, special, dropout=dropout, rng=rng)
+    return nm.cross_entropy(logits, labels, ignore_id=IGNORE_ID)
 
 
 def next_token_accuracy(

@@ -213,6 +213,18 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert "NumericError" in err
 
+    def test_checkpoint_trailing_bytes_exits_3(self, tmp_path, pipeline, capsys):
+        _, data, _, s1, *_ = pipeline
+        bad = tmp_path / "trailing.ckpt"
+        bad.write_bytes(s1.read_bytes() + b"\x00\x00\x00\x00")
+        capsys.readouterr()
+        code = run(["generate", "--data", str(data), "--split", "test", "--ckpt", str(bad),
+                    "--mode", "caption", "--out", str(tmp_path / "g.tsv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "CheckpointError" in err
+
     def test_probe_empty_caption_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert run(["synth", "--out", str(data), "--seed", "1",

@@ -162,6 +162,26 @@ class TestEmbed:
         with pytest.raises(nm.ShapeError):
             md.embed_sequence(inp, params)
 
+    def test_region_slot_outside_visual_span_rejected(self):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 0)
+        inp = mm.assemble_input(
+            mm.IMAGE_ONLY, visual=make_visual(cfg), cls_id=SP.cls, sep_id=SP.sep
+        )
+        inp.visual_span = (1, cfg.num_regions)  # the last region slot falls outside
+        with pytest.raises(nm.ShapeError, match="visual_span"):
+            md.embed_sequence(inp, params)
+
+    def test_wrong_object_dim_rejected(self):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 0)
+        inp = mm.assemble_input(
+            mm.IMAGE_ONLY, visual=make_visual(tiny_config(feature_dim=5)),
+            cls_id=SP.cls, sep_id=SP.sep,
+        )
+        with pytest.raises(nm.ShapeError):
+            md.embed_sequence(inp, params)
+
 
 class TestEncode:
     def test_single_slot_self_attention_is_one(self):
@@ -321,6 +341,14 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(md.CheckpointError):
+            md.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, cfg, md.init_parameters(cfg, 11))
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(md.CheckpointError, match="trailing"):
             md.load_checkpoint(path)
 
     def test_truncated(self, tmp_path):

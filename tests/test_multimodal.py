@@ -3,7 +3,6 @@ import pytest
 
 from vqgen import multimodal as mm
 from vqgen import model as md
-from vqgen import numerics as nm
 
 SPECIAL = md.SpecialTokens()
 
@@ -48,43 +47,6 @@ class TestVisualSequence:
         c = region(seed=2, relevance=0.5)
         vs = mm.VisualSequence.from_regions([a, b, c])
         assert vs.regions == [b, a, c]
-
-
-class TestProjectRegion:
-    def make_proj(self, d_in=10, d_out=4, seed=0):
-        rng = np.random.default_rng(seed)
-        return mm.CrossModalProjection(
-            weight=nm.Parameter("projection.weight", rng.normal(size=(d_in, d_out))),
-            bias=nm.Parameter("projection.bias", rng.normal(size=d_out)),
-        )
-
-    def test_zero_input_gives_bias(self):
-        proj = self.make_proj()
-        out = mm.project_region(np.zeros(10), proj)
-        assert np.allclose(out.data, proj.bias.value.data)
-
-    def test_zero_map_gives_zero(self):
-        proj = mm.CrossModalProjection(
-            weight=nm.Parameter("projection.weight", np.zeros((10, 4))),
-            bias=nm.Parameter("projection.bias", np.zeros(4)),
-        )
-        assert np.array_equal(mm.project_region(np.ones(10), proj).data, np.zeros(4))
-
-    def test_matches_affine_oracle(self):
-        proj = self.make_proj(seed=7)
-        rng = np.random.default_rng(8)
-        o = rng.normal(size=10)
-        expected = np.zeros(4)
-        for j in range(4):
-            expected[j] = proj.bias.value.data[j]
-            for k in range(10):
-                expected[j] += o[k] * proj.weight.value.data[k, j]
-        out = mm.project_region(o, proj)
-        assert np.max(np.abs(out.data - expected)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(nm.ShapeError):
-            mm.project_region(np.zeros(7), self.make_proj())
 
 
 class TestAssembleInput:

@@ -5,8 +5,6 @@ from vqgen import model as md
 from vqgen import multimodal as mm
 from vqgen import probe as pb
 
-SP = md.SpecialTokens()
-
 
 def probe_config(**overrides):
     base = dict(num_layers=3, num_heads=2, model_dim=16, ffn_dim=32, vocab_size=19,
@@ -118,46 +116,6 @@ class TestXsim:
         assert lines[0] == "layer_index\tmodel_label\txsim"
         assert len(lines) == 1 + config.num_layers
         assert lines[1].startswith("1\tstage1\t")
-
-
-class TestAttentionSummary:
-    def test_single_slot_input_gets_everything_minus_self(self):
-        # one input slot + one generated row attending {input, self} uniformly
-        config = probe_config()
-        params = md.init_parameters(config, 2)
-        for name in ("attn.wq", "attn.bq", "attn.wk", "attn.bk"):
-            params[f"layer{config.num_layers - 1}.{name}"].value.data[...] = 0.0
-        inp = mm.assemble_input(mm.CAPTION_ONLY, caption=[], cls_id=SP.cls, sep_id=SP.sep)
-        summary = pb.attention_summary(params, inp, [7])
-        assert summary.input_weights.shape == (1,)
-        assert summary.input_weights[0] == pytest.approx(0.5)
-        assert summary.argmax_slot == 0
-
-    def test_uniform_rigged_attention(self):
-        config = probe_config()
-        params = md.init_parameters(config, 2)
-        last = config.num_layers - 1
-        for name in ("attn.wq", "attn.bq", "attn.wk", "attn.bk"):
-            params[f"layer{last}.{name}"].value.data[...] = 0.0
-        inp = mm.assemble_input(mm.CAPTION_ONLY, caption=[7, 8, 9], cls_id=SP.cls, sep_id=SP.sep)
-        summary = pb.attention_summary(params, inp, [10])
-        # generated row sees 4 input slots + itself -> uniform 1/5 each
-        assert np.allclose(summary.input_weights, 0.2)
-
-    def test_weights_sum_at_most_one(self):
-        config = probe_config()
-        params = md.init_parameters(config, 3)
-        inp = mm.assemble_input(mm.CAPTION_ONLY, caption=[7, 8], cls_id=SP.cls, sep_id=SP.sep)
-        summary = pb.attention_summary(params, inp, [9, 10])
-        assert summary.input_weights.sum() <= 1.0 + 1e-12
-        assert np.all(summary.input_weights >= 0.0)
-
-    def test_requires_generated_tokens(self):
-        config = probe_config()
-        params = md.init_parameters(config, 3)
-        inp = mm.assemble_input(mm.CAPTION_ONLY, caption=[7], cls_id=SP.cls, sep_id=SP.sep)
-        with pytest.raises(pb.ProbeError):
-            pb.attention_summary(params, inp, [])
 
 
 class TestWriteTable:

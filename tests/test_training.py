@@ -165,6 +165,72 @@ class TestStageLoss:
         assert abs(stepwise - seq_log_prob) < 1e-9
 
 
+def examples_of_different_lengths(split, mode, n=3):
+    """The first n examples whose targets all differ in length."""
+    picked, lengths = [], set()
+    for ex in tr.build_examples(split, mode):
+        if len(ex.target) not in lengths:
+            picked.append(ex)
+            lengths.add(len(ex.target))
+    assert len(picked) >= n
+    return picked[:n]
+
+
+class TestEmbedBatch:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("use_type", [False, True])
+    @pytest.mark.parametrize("mode", mm.MODES)
+    def test_rows_equal_single_example_embed(self, small_world, mode, use_type, dtype):
+        _, split, config = small_world
+        cfg = md.ModelConfig(**{**config.to_dict(), "use_type_embeddings": use_type})
+        params = md.init_parameters(cfg, 4)
+        params.astype(dtype)
+        examples = examples_of_different_lengths(split, mode)
+        rows = [len(ex.input) + 2 * len(ex.target) + 1 for ex in examples]
+        batched = tr._embed_batch(params, tr.Batch(examples), SP, max(rows)).data
+        for b, ex in enumerate(examples):
+            extra = list(ex.target) + [SP.mask] * (len(ex.target) + 1)
+            n = len(ex.input)
+            positions = list(range(n, n + len(ex.target))) + list(range(n, n + len(ex.target) + 1))
+            solo = md.embed_extended(ex.input, extra, positions, params).data
+            assert solo.dtype == dtype
+            assert np.array_equal(batched[b, : rows[b]], solo)
+
+    def test_teacher_forced_logits_match_padded_batch(self, small_world):
+        _, split, config = small_world
+        params = md.init_parameters(config, 6)
+        examples = examples_of_different_lengths(split, mm.IMAGE_PLUS_CAPTION)
+        logits, labels = tr._batch_logits(params, tr.Batch(examples), SP, dropout=0.0, rng=None)
+        start = 0
+        for ex in examples:
+            solo = tr.teacher_forced_logits(params, ex).data
+            assert np.max(np.abs(logits.data[start : start + len(solo)] - solo)) < 1e-10
+            assert list(labels[start : start + len(solo)]) == list(ex.target) + [SP.eos]
+            start += len(solo)
+        assert start == len(logits.data)
+
+    def test_wrong_object_dim_raises_shape_error(self, small_world):
+        _, split, config = small_world
+        params = md.init_parameters(md.ModelConfig(**{**config.to_dict(), "feature_dim": 12}), 0)
+        examples = tr.build_examples(split, mm.IMAGE_ONLY)[:3]
+        with pytest.raises(nm.ShapeError):
+            tr.stage_loss(params, tr.Batch(examples))
+
+    def test_mixed_object_dims_in_one_batch_raise_shape_error(self, small_world):
+        _, split, config = small_world
+        params = md.init_parameters(config, 0)
+        examples = tr.build_examples(split, mm.IMAGE_ONLY)[:3]
+        short = mm.AssembledInput(
+            mode=mm.IMAGE_ONLY,
+            slots=[s if np.ndim(s) == 0 else s[1:] for s in examples[1].input.slots],
+            positions=examples[1].input.positions,
+            visual_span=examples[1].input.visual_span,
+        )
+        examples[1] = tr.TrainingExample(input=short, target=examples[1].target)
+        with pytest.raises(nm.ShapeError):
+            tr.stage_loss(params, tr.Batch(examples))
+
+
 class TestStagePlanValidation:
     def test_stage2_requires_stage1(self):
         with pytest.raises(tr.PrerequisiteError):
