@@ -79,16 +79,13 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_model_config(file_values: dict, vocab_size: int | None = None) -> md.ModelConfig:
-    kwargs = {}
-    for name in _MODEL_FIELDS:
-        if name in file_values:
-            raw = file_values[name]
-            kwargs[name] = raw in ("true", "1") if name == "use_type_embeddings" else int(raw)
-    config = md.ModelConfig(**kwargs)
+    config = md.ModelConfig.from_dict(
+        {name: raw for name, raw in file_values.items() if name in _MODEL_FIELDS}
+    )
     if vocab_size is not None:
-        if "vocab_size" in kwargs and kwargs["vocab_size"] != vocab_size:
+        if "vocab_size" in file_values and config.vocab_size != vocab_size:
             raise md.ConfigError(
-                f"config vocab_size {kwargs['vocab_size']} != data vocabulary {vocab_size}"
+                f"config vocab_size {config.vocab_size} != data vocabulary {vocab_size}"
             )
         config.vocab_size = vocab_size
     return config

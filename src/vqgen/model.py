@@ -38,6 +38,16 @@ class CheckpointError(ValueError):
     """Malformed or mismatched checkpoint file."""
 
 
+def _parse_bool(raw, name: str) -> bool:
+    """A boolean config value: `true`/`false`/`1`/`0` in any case, or a bool."""
+    text = str(raw).lower()
+    if text in ("true", "1"):
+        return True
+    if text in ("false", "0"):
+        return False
+    raise ConfigError(f"{name} must be one of true/false/1/0, got {raw!r}")
+
+
 @dataclass(frozen=True)
 class SpecialTokens:
     pad: int = 0
@@ -88,7 +98,7 @@ class ModelConfig:
         for f in fields(cls):
             if f.name in d:
                 raw = d[f.name]
-                kwargs[f.name] = (raw in ("true", "True", True, 1, "1")) if f.type == "bool" else int(raw)
+                kwargs[f.name] = _parse_bool(raw, f.name) if f.type == "bool" else int(raw)
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -315,7 +325,8 @@ def _dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tens
         return x
     if rng is None:
         raise nm.StateError("dropout requires a random generator")
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype)
+    keep /= 1.0 - rate
     return nm.mul(x, keep)
 
 

@@ -5,6 +5,12 @@ Tensor records enough state to push gradients back to its inputs; calling
 ``backward_gradients`` on a scalar loss fills in ``Parameter.gradient`` for
 every trainable parameter that participated in the forward pass.
 
+An operation notes, when it records, which operands need a gradient: a
+trainable parameter's tensor or a recorded node (``_needs_grad``). Its vjp
+returns None for every other operand -- a frozen weight, a constant input, an
+attention mask -- instead of computing a gradient nothing reads. The graph
+keeps its shape either way.
+
 Inside ``no_grad()`` the operations record nothing and skip their per-op
 finiteness check; a forward-only caller checks its final output once with
 ``check_finite`` instead.
@@ -148,6 +154,11 @@ def check_finite(x, what: str) -> None:
     _check_finite(x.data if isinstance(x, Tensor) else np.asarray(x), what)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """A trainable parameter's tensor or a recorded node; fixed when an op records."""
+    return t._vjp is not None or (t.param is not None and t.param.trainable)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -169,9 +180,12 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
     if not _grad_enabled:
         return Tensor(out)
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(g, a.shape) if need_a else None
+        gb = _unbroadcast(g, b.shape) if need_b else None
+        return ga, gb
 
     return Tensor(out, (a, b), vjp)
 
@@ -181,9 +195,12 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
     if not _grad_enabled:
         return Tensor(out)
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * b.data, a.shape) if need_a else None
+        gb = _unbroadcast(g * a.data, b.shape) if need_b else None
+        return ga, gb
 
     return Tensor(out, (a, b), vjp)
 
@@ -197,17 +214,24 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
     if not _grad_enabled:
         return Tensor(out)
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if need_a else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if need_b else None
         return ga, gb
 
     return Tensor(out, (a, b), vjp)
 
 
 def affine(x, w, b) -> Tensor:
-    """out[..., j] = sum_k x[..., k] * w[k, j] + b[j]."""
+    """out[..., j] = sum_k x[..., k] * w[k, j] + b[j].
+
+    A recorded call runs its forward and backward GEMMs on the (rows, k) view
+    of `x`: numpy runs a stacked 3-d @ 2-d product as one small GEMM per
+    leading index, well below the speed of the same product on the flattened
+    rows. The result is the same bit for bit.
+    """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or b.ndim != 1:
         raise ShapeError(f"affine weight must be 2-d and bias 1-d, got {w.shape}, {b.shape}")
@@ -215,15 +239,25 @@ def affine(x, w, b) -> Tensor:
         raise ShapeError(f"affine inner dims differ: {x.shape} vs {w.shape}")
     if b.shape[0] != w.shape[1]:
         raise ShapeError(f"affine bias dim {b.shape[0]} != output dim {w.shape[1]}")
-    out = x.data @ w.data + b.data
     if not _grad_enabled:
-        return Tensor(out)
+        # decode and probe encode one item at a time, so the stacked product
+        # is already a single GEMM and flattening would only add call overhead
+        return Tensor(x.data @ w.data + b.data)
+    k, n = w.shape
+    flat = x.data.reshape(-1, k) @ w.data
+    if flat.dtype == b.data.dtype:
+        flat += b.data
+    else:
+        flat = flat + b.data
+    out = flat.reshape(x.shape[:-1] + (n,))
     _check_finite(out, "affine")
+    need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(b)
 
     def vjp(g):
-        gx = g @ w.data.T
-        gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+        g_rows = g.reshape(-1, n)
+        gx = (g_rows @ w.data.T).reshape(x.shape) if need_x else None
+        gw = x.data.reshape(-1, k).T @ g_rows if need_w else None
+        gb = g_rows.sum(axis=0) if need_b else None
         return gx, gw, gb
 
     return Tensor(out, (x, w, b), vjp)
@@ -316,6 +350,8 @@ def take_rows(table, ids) -> Tensor:
     out = table.data[idx]
     if not _grad_enabled:
         return Tensor(out)
+    if not _needs_grad(table):
+        return Tensor(out, (table,), lambda g: (None,))
 
     def vjp(g):
         gt = np.zeros_like(table.data)
@@ -357,16 +393,28 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     if not _grad_enabled:
         return Tensor(out)
     _check_finite(out, "layer_norm")
+    need_x, need_gain, need_bias = _needs_grad(x), _needs_grad(gain), _needs_grad(bias)
 
     def vjp(g):
-        gn = g * gain.data
-        gvar = (gn * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
-        gmean = -(gn * inv).sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(
-            axis=-1, keepdims=True
-        )
-        gx = gn * inv + gvar * 2.0 * centered / d + gmean / d
-        ggain = (g * normed).reshape(-1, d).sum(axis=0)
-        gbias = g.reshape(-1, d).sum(axis=0)
+        # gx = gn * inv + gvar * 2.0 * centered / d + gmean / d with gn = g * gain,
+        # evaluated in the same order in two full-size buffers
+        gx = ggain = gbias = None
+        if need_x:
+            gn = g * gain.data
+            gx = gn * centered
+            gvar = gx.sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+            np.multiply(gn, inv, out=gx)
+            gmean = -gx.sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(
+                axis=-1, keepdims=True
+            )
+            np.multiply(gvar * 2.0, centered, out=gn)
+            gn /= d
+            gx += gn
+            gx += gmean / d
+        if need_gain:
+            ggain = (g * normed).reshape(-1, d).sum(axis=0)
+        if need_bias:
+            gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
     return Tensor(out, (x, gain, bias), vjp)
@@ -387,9 +435,20 @@ def gelu(x) -> Tensor:
     _check_finite(out, "gelu")
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 0.134145 * x_sq)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        return (g * dx,)
+        # dx = 0.5 * (1 + t) + 0.5 * xd * (1 - t * t) * du with
+        # du = C * (1 + 0.134145 * x_sq), evaluated in the same order in place
+        du = np.multiply(x_sq, 0.134145)
+        du += 1.0
+        du *= _GELU_C
+        slope = np.multiply(t, t)
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(0.5 * xd, slope, out=slope)
+        slope *= du
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        du += slope
+        du *= g
+        return (du,)
 
     return Tensor(out, (x,), vjp)
 
@@ -584,13 +643,23 @@ def adam_step(params: Iterable[Parameter], state: OptimizerState) -> None:
             state.first_moment[p.id] = m
             state.second_moment[p.id] = np.zeros_like(p.value.data)
         v = state.second_moment[p.id]
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g^2 and
+        # update = lr * m_hat / (sqrt(v_hat) + eps), in the same order in place
+        m *= b1
+        scratch = np.multiply(g, 1.0 - b1)
+        m += scratch
+        v *= b2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v += scratch
+        update = np.divide(m, 1.0 - b1**t)
+        update *= lr
+        np.divide(v, 1.0 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        update /= scratch
         _check_finite(update, "adam_step")
-        p.value.data[...] = p.value.data - update
+        p.value.data -= update
 
 
 def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:

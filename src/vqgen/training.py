@@ -86,6 +86,8 @@ class StagePlan:
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.stage in (STAGE2, STAGE2_UNFREEZE) and self.init_stage1 is None:
             raise PrerequisiteError(f"{self.stage} requires a stage-1 checkpoint")
         if self.stage == STAGE3:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,64 @@ class TestErrors:
         cfg.write_text("not_a_real_key=3\n")
         assert run(["train", "--data", str(data), "--config", str(cfg),
                     "--stage", "1", "--out", str(tmp_path / "x.ckpt")]) == 3
+
+    @pytest.mark.parametrize("spelling, expected", [("True", True), ("TRUE", True),
+                                                    ("1", True), ("FALSE", False)])
+    def test_config_bool_spellings_train(self, tmp_path, spelling, expected):
+        from vqgen import model as md
+
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "1", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG.replace("num_layers=2", "num_layers=1").replace(
+            "max_steps=4", "max_steps=1") + f"use_type_embeddings={spelling}\n")
+        ckpt = tmp_path / "x.ckpt"
+        assert run(["train", "--data", str(data), "--config", str(cfg),
+                    "--stage", "1", "--out", str(ckpt)]) == 0
+        config, params, _ = md.load_checkpoint(ckpt)
+        assert config.use_type_embeddings is expected
+        assert ("embeddings.type" in params) is expected
+
+    @pytest.mark.parametrize("command", ["train", "probe"])
+    @pytest.mark.parametrize("spelling", ["yes", "on", "2"])
+    def test_config_bad_bool_exits_3(self, tmp_path, capsys, command, spelling):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "1", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG + f"use_type_embeddings={spelling}\n")
+        out = str(tmp_path / "x.out")
+        argv = (["train", "--stage", "1"] if command == "train"
+                else ["probe", "--include-random", "--split", "val"])
+        capsys.readouterr()
+        code = run(argv + ["--data", str(data), "--config", str(cfg), "--out", out])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "ConfigError" in err and "use_type_embeddings" in err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("rate", ["1.0", "1.5", "-0.1"])
+    def test_dropout_outside_unit_interval_exits_3(self, tmp_path, capsys, rate):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "1", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--data", str(data), "--config", str(cfg), "--stage", "1",
+                        "--dropout", rate, "--out", str(tmp_path / "x.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "dropout" in err
+        assert not (tmp_path / "x.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_exits_5(self, tmp_path):

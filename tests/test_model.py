@@ -52,6 +52,19 @@ class TestConfig:
         )
         assert again == cfg
 
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("True", True), ("TRUE", True), ("1", True), (True, True), (1, True),
+        ("false", False), ("False", False), ("FALSE", False), ("0", False), (False, False),
+    ])
+    def test_bool_spellings(self, raw, value):
+        cfg = md.ModelConfig.from_dict({"use_type_embeddings": raw})
+        assert cfg.use_type_embeddings is value
+
+    @pytest.mark.parametrize("raw", ["yes", "no", "", "2", "on", "t", 2])
+    def test_bool_other_values_rejected(self, raw):
+        with pytest.raises(md.ConfigError, match="use_type_embeddings"):
+            md.ModelConfig.from_dict({"use_type_embeddings": raw})
+
 
 class TestInit:
     def test_same_seed_byte_identical(self):

@@ -237,6 +237,150 @@ class TestBackward:
             assert max_rel_err(p.gradient, fd) < 1e-4, p.id
 
 
+def closed_form_gelu_vjp(xd, g):
+    """The closed-form GELU backward the in-place vjp must reproduce bit for bit."""
+    x_sq = xd * xd
+    t = np.tanh(math.sqrt(2.0 / math.pi) * xd * (1.0 + 0.044715 * x_sq))
+    du = math.sqrt(2.0 / math.pi) * (1.0 + 0.134145 * x_sq)
+    dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
+    return g * dx
+
+
+def closed_form_layer_norm_vjp(xd, gain, g, eps):
+    """The closed-form layer-norm backward (gx, ggain, gbias), term by term."""
+    d = xd.shape[-1]
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = centered * inv
+    gn = g * gain
+    gvar = (gn * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+    gmean = -(gn * inv).sum(axis=-1, keepdims=True) + gvar * (-2.0 / d) * centered.sum(
+        axis=-1, keepdims=True
+    )
+    gx = gn * inv + gvar * 2.0 * centered / d + gmean / d
+    return gx, (g * normed).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestBackwardBitExact:
+    def data(self, dtype, shape=(3, 5, 8)):
+        rng = np.random.default_rng(21)
+        return [rng.normal(size=shape).astype(dtype) * 2.0 for _ in range(2)]
+
+    def test_gelu_vjp_matches_closed_form(self, dtype):
+        xd, g = self.data(dtype)
+        x = Parameter("x", xd)
+        (gx,) = gelu(x.value)._vjp(g)
+        expected = closed_form_gelu_vjp(xd, g)
+        assert gx.dtype == expected.dtype == dtype
+        assert np.array_equal(gx, expected)
+
+    def test_layer_norm_vjp_matches_closed_form(self, dtype):
+        # d = 12 is not a power of two, so dividing by d differs from
+        # multiplying by 1 / d
+        xd, g = self.data(dtype, shape=(3, 5, 12))
+        rng = np.random.default_rng(5)
+        gain = Parameter("gain", (rng.normal(size=12) * 0.1 + 1.0).astype(dtype))
+        bias = Parameter("bias", rng.normal(size=12).astype(dtype))
+        x = Parameter("x", xd)
+        got = layer_norm(x.value, gain.value, bias.value, eps=1e-12)._vjp(g)
+        expected = closed_form_layer_norm_vjp(xd, gain.value.data, g, 1e-12)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+
+    def test_batched_affine_equals_flat_rows(self, dtype):
+        xd, _ = self.data(dtype, shape=(4, 7, 6))
+        rng = np.random.default_rng(3)
+        w = Parameter("w", rng.normal(size=(6, 5)).astype(dtype))
+        b = Parameter("b", rng.normal(size=5).astype(dtype))
+        g = rng.normal(size=(4, 7, 5)).astype(dtype)
+        x3, x2 = Parameter("x3", xd), Parameter("x2", xd.reshape(28, 6))
+        out3 = affine(x3.value, w.value, b.value)
+        out2 = affine(x2.value, w.value, b.value)
+        assert out3.data.dtype == dtype
+        assert np.array_equal(out3.data.reshape(28, 5), out2.data)
+        for i in range(4):
+            assert np.array_equal(out3.data[i], affine(xd[i], w.value, b.value).data)
+        gx3, gw3, gb3 = out3._vjp(g)
+        gx2, gw2, gb2 = out2._vjp(g.reshape(28, 5))
+        assert gx3.shape == xd.shape
+        assert np.array_equal(gx3.reshape(28, 6), gx2)
+        assert np.array_equal(gw3, gw2)
+        assert np.array_equal(gb3, gb2)
+
+
+class TestFrozenOperands:
+    def make(self, trainable):
+        rng = np.random.default_rng(4)
+        w = Parameter("w", rng.normal(size=(3, 2)), trainable=trainable)
+        b = Parameter("b", rng.normal(size=2), trainable=trainable)
+        return w, b
+
+    def test_affine_vjp_skips_frozen_weight(self):
+        w, b = self.make(trainable=False)
+        x = Parameter("x", np.ones((4, 3)))
+        gx, gw, gb = affine(x.value, w.value, b.value)._vjp(np.ones((4, 2)))
+        assert gw is None and gb is None
+        assert np.array_equal(gx, np.ones((4, 2)) @ w.value.data.T)
+
+    def test_affine_vjp_skips_constant_input(self):
+        w, b = self.make(trainable=True)
+        x = np.ones((4, 3))
+        gx, gw, gb = affine(x, w.value, b.value)._vjp(np.ones((4, 2)))
+        assert gx is None
+        assert np.array_equal(gw, x.T @ np.ones((4, 2)))
+        assert np.array_equal(gb, np.full(2, 4.0))
+
+    def test_recorded_input_gets_gradient_through_frozen_weight(self):
+        w, b = self.make(trainable=False)
+        x = Parameter("x", np.ones((4, 3)))
+        h = gelu(x.value)
+        gx, gw, gb = affine(h, w.value, b.value)._vjp(np.ones((4, 2)))
+        assert gx is not None and gw is None and gb is None
+
+    def test_take_rows_and_layer_norm_skip_frozen(self):
+        table = Parameter("table", np.ones((5, 3)), trainable=False)
+        gain = Parameter("gain", np.ones(3), trainable=False)
+        bias = Parameter("bias", np.zeros(3), trainable=False)
+        rows = nm.take_rows(table.value, [1, 2])
+        assert rows._vjp(np.ones((2, 3))) == (None,)
+        x = Parameter("x", np.arange(6.0).reshape(2, 3))
+        gx, ggain, gbias = layer_norm(x.value, gain.value, bias.value)._vjp(np.ones((2, 3)))
+        assert gx is not None and ggain is None and gbias is None
+
+    def test_constant_scale_mask_and_dropout_get_no_gradient(self):
+        x = Parameter("x", np.arange(6.0).reshape(2, 3))
+        scaled = nm.mul(x.value, 0.5)
+        assert scaled._vjp(np.ones((2, 3)))[1] is None
+        masked = nm.add(x.value, np.zeros((1, 3)))
+        assert masked._vjp(np.ones((2, 3)))[1] is None
+        dropped = nm.mul(x.value, np.ones((2, 3)))
+        ga, gb = dropped._vjp(np.ones((2, 3)))
+        assert gb is None and np.array_equal(ga, np.ones((2, 3)))
+
+    def test_loss_over_frozen_parameters_backpropagates_zeros(self):
+        w, b = self.make(trainable=False)
+        table = Parameter("table", np.ones((5, 3)), trainable=False)
+        w.gradient = np.full((3, 2), 9.0)
+        table.gradient = np.full((5, 3), 9.0)
+        h = affine(nm.take_rows(table.value, [0, 4]), w.value, b.value)
+        loss = cross_entropy(gelu(h), [0, 1])
+        assert loss._parents
+        backward_gradients(loss, [w, b, table])
+        for p in (w, b, table):
+            assert np.array_equal(p.gradient, np.zeros(p.shape)), p.id
+        # an op whose operands are all frozen or constant still records
+        w1 = Parameter("w1", np.ones((3, 1)), trainable=False)
+        b1 = Parameter("b1", np.zeros(1), trainable=False)
+        w1.gradient = np.full((3, 1), 9.0)
+        loss = affine(np.ones((1, 3)), w1.value, b1.value)
+        assert loss._parents
+        backward_gradients(loss, [w1, b1])
+        assert np.array_equal(w1.gradient, np.zeros((3, 1)))
+
+
 class TestSchedule:
     def make_state(self, base=0.1, total=100, warm=0.1):
         return OptimizerState(base_lr=base, total_steps=total, warmup_fraction=warm)

@@ -231,7 +231,40 @@ class TestEmbedBatch:
             tr.stage_loss(params, tr.Batch(examples))
 
 
+class TestFrozenBackward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stage2_projection_gradient_unchanged_by_freezing(self, small_world, dtype):
+        # the frozen backbone's gradients are skipped, not approximated: the
+        # projection gradient is the one the all-trainable backward computes
+        _, split, config = small_world
+        batch = tr.make_batches(split, mm.IMAGE_ONLY, 8, seed=0)[0]
+        grads = {}
+        for frozen in (True, False):
+            params = md.init_parameters(config, 3)
+            params.astype(dtype)
+            if frozen:
+                params.set_trainable(value=False)
+                params.set_trainable(["projection.weight", "projection.bias"])
+            rng = np.random.default_rng(9)
+            loss = tr.stage_loss(params, batch, SP, dropout=0.1, rng=rng)
+            nm.backward_gradients(loss, params.all())
+            grads[frozen] = {n: params[n].gradient for n in params.names()}
+        for name in ("projection.weight", "projection.bias"):
+            assert grads[True][name].dtype == dtype
+            assert np.array_equal(grads[True][name], grads[False][name]), name
+            assert np.any(grads[True][name] != 0), name
+        for name, grad in grads[True].items():
+            if not name.startswith("projection."):
+                assert not np.any(grad), name
+                assert np.any(grads[False][name]), name
+
+
 class TestStagePlanValidation:
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="dropout"):
+            tr.StagePlan(stage=tr.STAGE1, dropout=rate)
+
     def test_stage2_requires_stage1(self):
         with pytest.raises(tr.PrerequisiteError):
             tr.StagePlan(stage=tr.STAGE2)
