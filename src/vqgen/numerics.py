@@ -5,10 +5,10 @@ Tensor records enough state to push gradients back to its inputs; calling
 ``backward_gradients`` on a scalar loss fills in ``Parameter.gradient`` for
 every trainable parameter that participated in the forward pass.
 
-An operation notes, when it records, which operands need a gradient: a
-trainable parameter's tensor or a recorded node (``_needs_grad``). Its vjp
-returns None for every other operand -- a frozen weight, a constant input, an
-attention mask -- instead of computing a gradient nothing reads. The graph
+A vjp asks, when the backward pass reaches it, which operands need a
+gradient: a trainable parameter's tensor or a recorded node (``_needs_grad``).
+It returns None for every other operand -- a frozen weight, a constant input,
+an attention mask -- instead of computing a gradient nothing reads. The graph
 keeps its shape either way.
 
 Inside ``no_grad()`` the operations record nothing and skip their per-op
@@ -155,7 +155,7 @@ def check_finite(x, what: str) -> None:
 
 
 def _needs_grad(t: Tensor) -> bool:
-    """A trainable parameter's tensor or a recorded node; fixed when an op records."""
+    """A trainable parameter's tensor or a recorded node, read at backward time."""
     return t._vjp is not None or (t.param is not None and t.param.trainable)
 
 
@@ -180,11 +180,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
     if not _grad_enabled:
         return Tensor(out)
-    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def vjp(g):
-        ga = _unbroadcast(g, a.shape) if need_a else None
-        gb = _unbroadcast(g, b.shape) if need_b else None
+        ga = _unbroadcast(g, a.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g, b.shape) if _needs_grad(b) else None
         return ga, gb
 
     return Tensor(out, (a, b), vjp)
@@ -195,11 +194,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
     if not _grad_enabled:
         return Tensor(out)
-    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def vjp(g):
-        ga = _unbroadcast(g * b.data, a.shape) if need_a else None
-        gb = _unbroadcast(g * a.data, b.shape) if need_b else None
+        ga = _unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None
         return ga, gb
 
     return Tensor(out, (a, b), vjp)
@@ -214,11 +212,10 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
     if not _grad_enabled:
         return Tensor(out)
-    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if need_a else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if need_b else None
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if _needs_grad(b) else None
         return ga, gb
 
     return Tensor(out, (a, b), vjp)
@@ -227,10 +224,10 @@ def matmul(a, b) -> Tensor:
 def affine(x, w, b) -> Tensor:
     """out[..., j] = sum_k x[..., k] * w[k, j] + b[j].
 
-    A recorded call runs its forward and backward GEMMs on the (rows, k) view
-    of `x`: numpy runs a stacked 3-d @ 2-d product as one small GEMM per
-    leading index, well below the speed of the same product on the flattened
-    rows. The result is the same bit for bit.
+    The forward and backward GEMMs run on the (rows, k) view of `x`: numpy
+    runs a stacked 3-d @ 2-d product as one small GEMM per leading index, well
+    below the speed of the same product on the flattened rows. The result is
+    the same bit for bit.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or b.ndim != 1:
@@ -239,10 +236,6 @@ def affine(x, w, b) -> Tensor:
         raise ShapeError(f"affine inner dims differ: {x.shape} vs {w.shape}")
     if b.shape[0] != w.shape[1]:
         raise ShapeError(f"affine bias dim {b.shape[0]} != output dim {w.shape[1]}")
-    if not _grad_enabled:
-        # decode and probe encode one item at a time, so the stacked product
-        # is already a single GEMM and flattening would only add call overhead
-        return Tensor(x.data @ w.data + b.data)
     k, n = w.shape
     flat = x.data.reshape(-1, k) @ w.data
     if flat.dtype == b.data.dtype:
@@ -250,14 +243,15 @@ def affine(x, w, b) -> Tensor:
     else:
         flat = flat + b.data
     out = flat.reshape(x.shape[:-1] + (n,))
+    if not _grad_enabled:
+        return Tensor(out)
     _check_finite(out, "affine")
-    need_x, need_w, need_b = _needs_grad(x), _needs_grad(w), _needs_grad(b)
 
     def vjp(g):
         g_rows = g.reshape(-1, n)
-        gx = (g_rows @ w.data.T).reshape(x.shape) if need_x else None
-        gw = x.data.reshape(-1, k).T @ g_rows if need_w else None
-        gb = g_rows.sum(axis=0) if need_b else None
+        gx = (g_rows @ w.data.T).reshape(x.shape) if _needs_grad(x) else None
+        gw = x.data.reshape(-1, k).T @ g_rows if _needs_grad(w) else None
+        gb = g_rows.sum(axis=0) if _needs_grad(b) else None
         return gx, gw, gb
 
     return Tensor(out, (x, w, b), vjp)
@@ -350,10 +344,10 @@ def take_rows(table, ids) -> Tensor:
     out = table.data[idx]
     if not _grad_enabled:
         return Tensor(out)
-    if not _needs_grad(table):
-        return Tensor(out, (table,), lambda g: (None,))
 
     def vjp(g):
+        if not _needs_grad(table):
+            return (None,)
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.shape[1]))
         return (gt,)
@@ -393,13 +387,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     if not _grad_enabled:
         return Tensor(out)
     _check_finite(out, "layer_norm")
-    need_x, need_gain, need_bias = _needs_grad(x), _needs_grad(gain), _needs_grad(bias)
 
     def vjp(g):
         # gx = gn * inv + gvar * 2.0 * centered / d + gmean / d with gn = g * gain,
         # evaluated in the same order in two full-size buffers
         gx = ggain = gbias = None
-        if need_x:
+        if _needs_grad(x):
             gn = g * gain.data
             gx = gn * centered
             gvar = gx.sum(axis=-1, keepdims=True) * (-0.5) * inv**3
@@ -411,9 +404,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
             gn /= d
             gx += gn
             gx += gmean / d
-        if need_gain:
+        if _needs_grad(gain):
             ggain = (g * normed).reshape(-1, d).sum(axis=0)
-        if need_bias:
+        if _needs_grad(bias):
             gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 

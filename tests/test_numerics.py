@@ -303,6 +303,8 @@ class TestBackwardBitExact:
         assert np.array_equal(out3.data.reshape(28, 5), out2.data)
         for i in range(4):
             assert np.array_equal(out3.data[i], affine(xd[i], w.value, b.value).data)
+        with nm.no_grad():
+            assert np.array_equal(affine(xd, w.value, b.value).data, out3.data)
         gx3, gw3, gb3 = out3._vjp(g)
         gx2, gw2, gb2 = out2._vjp(g.reshape(28, 5))
         assert gx3.shape == xd.shape
@@ -379,6 +381,28 @@ class TestFrozenOperands:
         assert loss._parents
         backward_gradients(loss, [w1, b1])
         assert np.array_equal(w1.gradient, np.zeros((3, 1)))
+
+    def test_trainable_read_at_backward_time(self):
+        # a flag flipped between forward and backward takes effect in the backward
+        x = Parameter("x", np.arange(12.0).reshape(4, 3))
+        w, b = self.make(trainable=True)
+        w.gradient = np.full((3, 2), 9.0)
+        loss = cross_entropy(affine(x.value, w.value, b.value), [0, 1, 1, 0])
+        w.trainable = False
+        backward_gradients(loss, [x, w, b])
+        assert np.array_equal(w.gradient, np.zeros((3, 2)))
+        expected_gb = b.gradient.copy()
+
+        w2, b2 = self.make(trainable=False)
+        loss = cross_entropy(affine(x.value, w2.value, b2.value), [0, 1, 1, 0])
+        w2.trainable = b2.trainable = True
+        backward_gradients(loss, [x, w2, b2])
+        assert np.array_equal(b2.gradient, expected_gb)
+        w.trainable = True
+        loss = cross_entropy(affine(x.value, w.value, b.value), [0, 1, 1, 0])
+        backward_gradients(loss, [x, w, b])
+        assert np.array_equal(w2.gradient, w.gradient)
+        assert not np.array_equal(w.gradient, np.zeros((3, 2)))
 
 
 class TestSchedule:
