@@ -59,10 +59,18 @@ class UsageError(ValueError):
     pass
 
 
-def _load_config_file(path) -> dict:
+def _read_config(path, fixed: dict, source: str) -> tuple[md.ModelConfig, dict]:
+    """Parse a `--config` file (none when `path` is None) into the model config
+    and the training-plan values it sets.
+
+    `fixed` holds the model values `source` (the data or a checkpoint) already
+    decides: they fill the model keys the file leaves out, and a model key the
+    file sets must agree with them. Every key must be known and every value
+    must parse; whether a plan value suits training is left to `StagePlan`.
+    """
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8") if path is not None else ""
     except OSError as exc:
         raise dt.FormatError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -75,20 +83,21 @@ def _load_config_file(path) -> dict:
         if key not in _MODEL_FIELDS and key not in _PLAN_FIELDS:
             raise dt.FormatError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
-    return values
-
-
-def _resolve_model_config(file_values: dict, vocab_size: int | None = None) -> md.ModelConfig:
-    config = md.ModelConfig.from_dict(
-        {name: raw for name, raw in file_values.items() if name in _MODEL_FIELDS}
-    )
-    if vocab_size is not None:
-        if "vocab_size" in file_values and config.vocab_size != vocab_size:
-            raise md.ConfigError(
-                f"config vocab_size {config.vocab_size} != data vocabulary {vocab_size}"
-            )
-        config.vocab_size = vocab_size
-    return config
+    model_values = {key: raw for key, raw in values.items() if key in _MODEL_FIELDS}
+    config = md.ModelConfig.from_dict({**fixed, **model_values})
+    for key in model_values:
+        if key in fixed and getattr(config, key) != fixed[key]:
+            raise md.ConfigError(f"config {key} {getattr(config, key)} != {source} {fixed[key]}")
+    plan: dict = {}
+    for key, cast in _PLAN_FIELDS.items():
+        if key in values:
+            try:
+                plan[key] = cast(values[key])
+            except ValueError:
+                raise dt.FormatError(
+                    f"{path}: {key} must be {cast.__name__}, got {values[key]!r}"
+                ) from None
+    return config, plan
 
 
 def _print_run_header(args, config: md.ModelConfig | None) -> None:
@@ -143,9 +152,10 @@ def _require_checkpoint_path(path, what: str):
 
 
 def _cmd_train(args, argv) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
     split = dt.load_split(args.data, "train")
-    config = _resolve_model_config(file_values, vocab_size=len(split.vocab))
+    config, plan_values = _read_config(
+        args.config, {"vocab_size": len(split.vocab)}, "data vocabulary"
+    )
     split.features.expected_regions = config.num_regions
     split.features.expected_dim = config.feature_dim
     _print_run_header(args, config)
@@ -156,10 +166,8 @@ def _cmd_train(args, argv) -> int:
         seed=args.seed,
         init_stage1=_require_checkpoint_path(args.init_stage1, "stage-1"),
         init_stage2=_require_checkpoint_path(args.init_stage2, "stage-2"),
+        **plan_values,
     )
-    for name, cast in _PLAN_FIELDS.items():
-        if name in file_values:
-            plan_kwargs[name] = cast(file_values[name])
     for name in ("epochs", "batch_size", "base_lr", "dropout", "max_steps"):
         flag = getattr(args, name)
         if flag is not None:
@@ -193,29 +201,14 @@ def _cmd_generate(args, argv) -> int:
     config, params, _, split = _load_model_and_split(args.ckpt, args.data, args.split)
     _print_run_header(args, config)
     mode = GENERATE_MODES[args.mode]
-    special = split.vocab.special
     lines = []
     truncated = 0
     for item in split.items:
-        caption_ids = (
-            dt.encode_text(item.caption, split.vocab) if mode != mm.IMAGE_ONLY else None
-        )
-        visual = split.visual(item) if mode != mm.CAPTION_ONLY else None
-        inp = mm.assemble_input(
-            mode, visual=visual, caption=caption_ids, cls_id=special.cls, sep_id=special.sep
-        )
+        inp = split.assemble(item, mode)
         room = config.max_positions - len(inp) - 1
         if room < 1:
             raise md.ConfigError(f"item {item.id}: no room to generate within max_positions")
-        out = gen.generate(
-            params,
-            inp,
-            gen.GenerationConfig(
-                max_length=min(args.max_length, room),
-                eos_id=special.eos,
-                mask_id=special.mask,
-            ),
-        )
+        out = gen.generate(params, inp, gen.GenerationConfig(max_length=min(args.max_length, room)))
         truncated += out.truncated
         lines.append(f"{item.id}\t{dt.decode_text(out.tokens, split.vocab)}")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -264,26 +257,24 @@ def _cmd_eval(args, argv) -> int:
 def _cmd_probe(args, argv) -> int:
     if not args.ckpt and not args.include_random:
         raise UsageError("probe needs at least one --ckpt or --include-random")
+    split = dt.load_split(args.data, args.split)
+    fixed, source = {"vocab_size": len(split.vocab)}, "data vocabulary"
     reports = []
-    config = None
-    split = None
     for ckpt in args.ckpt or []:
-        ck_config, params, extras, ck_split = _load_model_and_split(ckpt, args.data, args.split)
-        if config is None:
-            config, split = ck_config, ck_split
-            _print_run_header(args, config)
-        elif ck_config != config:
+        ck_config, params, extras = md.load_checkpoint(ckpt)
+        if not reports:
+            fixed, source = ck_config.to_dict(), "checkpoint"
+        elif ck_config.to_dict() != fixed:
             raise md.ConfigError(f"checkpoint {ckpt} disagrees with the first checkpoint's config")
-        label = extras.get("stage", Path(ckpt).stem)
-        reports.append((params, label))
-    if config is None:
-        file_values = _load_config_file(args.config) if args.config else {}
-        probe_split = dt.load_split(args.data, args.split)
-        config = _resolve_model_config(file_values, vocab_size=len(probe_split.vocab))
-        split = probe_split
-        split.features.expected_regions = config.num_regions
-        split.features.expected_dim = config.feature_dim
-        _print_run_header(args, config)
+        reports.append((params, extras.get("stage", Path(ckpt).stem)))
+    config, _ = _read_config(args.config, fixed, source)
+    if config.vocab_size != len(split.vocab):
+        raise md.ConfigError(
+            f"checkpoint vocabulary {config.vocab_size} != data vocabulary {len(split.vocab)}"
+        )
+    split.features.expected_regions = config.num_regions
+    split.features.expected_dim = config.feature_dim
+    _print_run_header(args, config)
     if args.include_random:
         reports.append((pb.random_baseline(config), "random"))
 
@@ -369,18 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DATA_ERRORS = (
-    dt.FormatError,
-    dt.VocabError,
-    md.CheckpointError,
-    md.ConfigError,
-    mm.InputError,
-    mx.CorpusError,
-    pb.ProbeError,
-    nm.ShapeError,
-    nm.StateError,
-    OSError,
-)
+# every loader and input check raises a ValueError subclass
+_DATA_ERRORS = (ValueError, nm.StateError, OSError)
 
 _NUMERIC_ERRORS = (tr.NumericFailure, nm.NumericError)
 
@@ -407,8 +388,6 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         return _fail(EXIT_NUMERIC, exc)
     except _DATA_ERRORS as exc:
-        return _fail(EXIT_DATA, exc)
-    except ValueError as exc:
         return _fail(EXIT_DATA, exc)
 
 

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import multimodal as mm
 from .model import SpecialTokens
 from .multimodal import ObjectRegion, VisualSequence
 
@@ -148,29 +149,29 @@ def load_corpus(path) -> list[CorpusItem]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise FormatError(f"{path}:{lineno}: record must be a JSON object")
             for fname in _REQUIRED_FIELDS:
                 if fname not in record:
                     raise FormatError(f"{path}:{lineno}: missing field {fname!r}")
-            if record["id"] in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate id {record['id']!r}")
-            seen.add(record["id"])
+            questions = record["questions"]
+            if not isinstance(questions, list) or not all(isinstance(q, str) for q in questions):
+                raise FormatError(f"{path}:{lineno}: questions must be a list of strings")
+            if not isinstance(record["caption"], str):
+                raise FormatError(f"{path}:{lineno}: caption must be a string")
+            item_id = str(record["id"])
+            if item_id in seen:
+                raise FormatError(f"{path}:{lineno}: duplicate id {item_id!r}")
+            seen.add(item_id)
             items.append(
                 CorpusItem(
-                    id=str(record["id"]),
-                    caption=str(record["caption"]),
-                    questions=[str(q) for q in record["questions"]],
+                    id=item_id,
+                    caption=record["caption"],
+                    questions=questions,
                     feature_ref=str(record["feature_ref"]),
                 )
             )
     return items
-
-
-def read_corpus_meta(path) -> Optional[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first.startswith("#"):
-        return json.loads(first[1:].strip())
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +422,15 @@ class LoadedSplit:
 
     def visual(self, item: CorpusItem) -> VisualSequence:
         return self.features.get(item.feature_ref)
+
+    def assemble(self, item: CorpusItem, mode: str) -> mm.AssembledInput:
+        """The item's model input in `mode`: its regions, its caption, or both."""
+        caption = encode_text(item.caption, self.vocab) if mode != mm.IMAGE_ONLY else None
+        visual = self.visual(item) if mode != mm.CAPTION_ONLY else None
+        special = self.vocab.special
+        return mm.assemble_input(
+            mode, visual=visual, caption=caption, cls_id=special.cls, sep_id=special.sep
+        )
 
 
 def load_split(

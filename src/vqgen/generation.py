@@ -34,16 +34,10 @@ class AttentionMask:
     allow: np.ndarray
     n_input: int
 
-    @property
-    def size(self) -> int:
-        return self.allow.shape[0]
-
 
 @dataclass
 class GenerationConfig:
     max_length: int = 24
-    eos_id: int = 5
-    mask_id: int = 4
 
     def __post_init__(self):
         if self.max_length < 1:
@@ -57,9 +51,6 @@ class GenerationOutput:
     tokens: list[int]
     step_logits: Optional[list[np.ndarray]] = None
     truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def build_left_to_right_mask(n_input: int, n_target: int) -> AttentionMask:
@@ -111,7 +102,7 @@ def next_token(
             embedded = md.embed_extended(input, extra, positions, params)
             x = nm.reshape(embedded, (1, *embedded.shape))
         allow = build_left_to_right_mask(n_input, len(prefix) + 1).allow[past:]
-        states, _ = md.encode_states(x, allow, params, cache=cache, keep=s_new - 1)
+        states = md.encode_states(x, allow, params, cache=cache, keep=s_new - 1)
         mask_row = nm.reshape(nm.narrow(states[-1], 1, s_new - 1, 1), (1, x.shape[2]))
         logits = md.decode_logits(mask_row, params).data[0]
     # no_grad skipped the per-op checks; a non-finite value anywhere upstream
@@ -128,15 +119,16 @@ def generate(
     keep_logits: bool = False,
 ) -> GenerationOutput:
     """Greedy decode until [EOS] or max_length; deterministic given params/input."""
+    special = md.SpecialTokens()
     tokens: list[int] = []
     logits_log: list[np.ndarray] = [] if keep_logits else None
     truncated = False
     cache = md.KVCache()
     for _ in range(cfg.max_length):
-        tok, logits = next_token(params, input, tokens, mask_id=cfg.mask_id, cache=cache)
+        tok, logits = next_token(params, input, tokens, mask_id=special.mask, cache=cache)
         if keep_logits:
             logits_log.append(logits)
-        if tok == cfg.eos_id:
+        if tok == special.eos:
             break
         tokens.append(tok)
     else:

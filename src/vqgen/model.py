@@ -48,6 +48,14 @@ def _parse_bool(raw, name: str) -> bool:
     raise ConfigError(f"{name} must be one of true/false/1/0, got {raw!r}")
 
 
+def _parse_int(raw, name: str) -> int:
+    """An integer config value; anything `int()` rejects raises ConfigError."""
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
 @dataclass(frozen=True)
 class SpecialTokens:
     pad: int = 0
@@ -72,13 +80,13 @@ class ModelConfig:
     use_type_embeddings: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by {self.num_heads} heads")
         if self.boxes_dim != 4:
             raise ConfigError("boxes_dim is fixed at 4")
-        if min(self.num_layers, self.model_dim, self.ffn_dim, self.vocab_size,
-               self.max_positions, self.feature_dim, self.num_regions) < 1:
-            raise ConfigError("all size fields must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -97,8 +105,8 @@ class ModelConfig:
         kwargs = {}
         for f in fields(cls):
             if f.name in d:
-                raw = d[f.name]
-                kwargs[f.name] = _parse_bool(raw, f.name) if f.type == "bool" else int(raw)
+                parse = _parse_bool if f.type == "bool" else _parse_int
+                kwargs[f.name] = parse(d[f.name], f.name)
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -354,21 +362,18 @@ def encode_states(
     *,
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    collect_attention: bool = False,
     cache: Optional[KVCache] = None,
     keep: Optional[int] = None,
-):
+) -> list[Tensor]:
     """Run the encoder stack on (B, S, d) input under a boolean allow mask.
 
-    Returns (states, attentions): states is a list of num_layers+1 tensors
-    (index 0 is the embedding input); attentions has one (B, H, S, S) array
-    per layer when requested, else None.
+    Returns num_layers+1 tensors; index 0 is the embedding input.
 
     With a `cache` holding P rows, `x` holds only the S new rows, which attend
-    to the cached keys/values and to their own: `allow` is then (B, S, P + S)
-    and attentions are (B, H, S, P + S). Afterwards the cache holds the keys
-    and values of its P rows plus the first `keep` new rows (all by default).
-    The cached rows are constants: no gradient flows back into them.
+    to the cached keys/values and to their own: `allow` is then (B, S, P + S).
+    Afterwards the cache holds the keys and values of its P rows plus the
+    first `keep` new rows (all by default). The cached rows are constants: no
+    gradient flows back into them.
     """
     config = params.config
     b, s, d = x.shape
@@ -386,7 +391,6 @@ def encode_states(
     h_count, dh = config.num_heads, config.head_dim
     scale = 1.0 / math.sqrt(dh)
     states = [x]
-    attentions = [] if collect_attention else None
     kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     for i in range(config.num_layers):
@@ -404,8 +408,6 @@ def encode_states(
             kept.append((k.data[:, :, : past + keep], v.data[:, :, : past + keep]))
         scores = nm.add(nm.mul(nm.matmul(q, nm.transpose(k)), scale), mask_add)
         att = nm.softmax_rows(scores)
-        if collect_attention:
-            attentions.append(np.array(att.data, copy=True))
         ctx = nm.reshape(nm.swapaxes(nm.matmul(att, v), 1, 2), (b, s, d))
         ctx = nm.affine(ctx, params[f"{pre}.attn.wo"].value, params[f"{pre}.attn.bo"].value)
         ctx = _dropout(ctx, dropout, rng)
@@ -429,7 +431,7 @@ def encode_states(
     if cache is not None:
         cache.keys = [k for k, _ in kept]
         cache.values = [v for _, v in kept]
-    return states, attentions
+    return states
 
 
 def encode(
@@ -439,42 +441,31 @@ def encode(
     *,
     dropout: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    collect_attention: bool = False,
-):
+) -> list[Tensor]:
     """Encode one (S, d) sequence; returns the num_layers+1 per-layer outputs.
 
-    `mask` is an AttentionMask or a plain (S, S) boolean allow-matrix. With
-    collect_attention=True also returns the per-layer attention weights.
+    `mask` is an AttentionMask or a plain (S, S) boolean allow-matrix.
     """
     allow = np.asarray(getattr(mask, "allow", mask), dtype=bool)
     s, d = embedded.shape
     if allow.shape != (s, s):
         raise nm.ShapeError(f"mask is {allow.shape}, expected ({s}, {s})")
     x = nm.reshape(embedded, (1, s, d))
-    states, attentions = encode_states(
-        x, allow, params, dropout=dropout, rng=rng, collect_attention=collect_attention
-    )
-    flat = [nm.reshape(st, (s, d)) for st in states]
-    if collect_attention:
-        return flat, [a[0] for a in attentions]
-    return flat
+    states = encode_states(x, allow, params, dropout=dropout, rng=rng)
+    return [nm.reshape(st, (s, d)) for st in states]
 
 
 def decode_logits(hidden: Tensor, params: Parameters) -> Tensor:
-    """Head over final-layer state(s): feed-forward, norm, tied-embedding matmul."""
-    single = hidden.ndim == 1
-    h = nm.reshape(hidden, (1, hidden.shape[0])) if single else hidden
-    h = nm.gelu(nm.affine(h, params["head.dense_w"].value, params["head.dense_b"].value))
+    """Head over (N, d) final-layer states: feed-forward, norm, tied-embedding
+    matmul; shape (N, vocab_size)."""
+    h = nm.gelu(nm.affine(hidden, params["head.dense_w"].value, params["head.dense_b"].value))
     h = nm.layer_norm(
         h, params["head.norm.gain"].value, params["head.norm.bias"].value, eps=LAYER_NORM_EPS
     )
-    logits = nm.add(
+    return nm.add(
         nm.matmul(h, nm.transpose(params["embeddings.token"].value)),
         params["head.output_bias"].value,
     )
-    if single:
-        return nm.reshape(logits, (params.config.vocab_size,))
-    return logits
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,6 @@ class VisualSequence:
         if any(rel[i] < rel[i + 1] for i in range(len(rel) - 1)):
             raise InputError("regions must be ordered by non-increasing relevance")
 
-    @classmethod
-    def from_regions(cls, regions: Sequence[ObjectRegion]) -> "VisualSequence":
-        """Sort by relevance (descending); ties keep original region order."""
-        ordered = sorted(enumerate(regions), key=lambda t: (-t[1].relevance, t[0]))
-        return cls([r for _, r in ordered])
-
     def __len__(self) -> int:
         return len(self.regions)
 
@@ -96,7 +90,6 @@ def assemble_input(
     *,
     cls_id: int,
     sep_id: int,
-    max_caption: Optional[int] = None,
 ) -> AssembledInput:
     """Lay out [CLS] / visual slots / [SEP] / caption tokens for the given mode.
 
@@ -113,8 +106,6 @@ def assemble_input(
     if needs_caption and caption is None:
         raise InputError(f"mode {mode} requires a caption")
     caption = list(caption) if caption is not None else []
-    if max_caption is not None and needs_caption and len(caption) > max_caption:
-        raise InputError(f"caption of {len(caption)} tokens exceeds limit {max_caption}")
 
     slots: list[Slot] = [int(cls_id)]
     visual_span = (0, 0)

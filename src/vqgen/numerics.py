@@ -70,11 +70,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Row-major flat view of the stored values."""
-        return self.data.reshape(-1)
-
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -523,9 +518,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = None) -> None:
     """Populate Parameter.gradient with d(loss)/d(parameter).
 
-    Parameters reachable from `loss` get their true gradient; parameters in
-    `params` that the graph never touched (and all non-trainable ones) get
-    zeros. Requires `loss` to be a recorded scalar computation.
+    Trainable parameters reachable from `loss` get their true gradient; any
+    other parameter in `params` or in the graph (a frozen one, or one the graph
+    never touched) gets zeros. Requires `loss` to be a recorded scalar
+    computation.
     """
     if not isinstance(loss, Tensor):
         raise StateError("backward_gradients expects a Tensor loss")
@@ -536,6 +532,7 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
 
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    done: set[int] = set()  # ids of the parameter tensors given a gradient
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -543,6 +540,7 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
         if node.param is not None:
             if node.param.trainable:
                 node.param.gradient = np.array(g, copy=True)
+                done.add(id(node))
             continue
         if node._vjp is None:
             continue
@@ -556,18 +554,11 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
             else:
                 grads[key] = pg
 
-    reached: set[int] = set()
-    for node in order:
-        if node.param is not None:
-            reached.add(id(node))
-    if params is not None:
-        for p in params:
-            if not p.trainable or id(p.value) not in reached:
-                p.gradient = np.zeros_like(p.value.data)
-    for node in order:
-        p = node.param
-        if p is not None and not p.trainable:
+    in_graph = [node.param for node in order if node.param is not None]
+    for p in [*(params or ()), *in_graph]:
+        if id(p.value) not in done:
             p.gradient = np.zeros_like(p.value.data)
+            done.add(id(p.value))
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +566,15 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class OptimizerState:
     """Adam moments plus the warmup/decay schedule settings."""
 
-    def __init__(
-        self,
-        base_lr: float,
-        total_steps: int,
-        warmup_fraction: float = 0.1,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, base_lr: float, total_steps: int, warmup_fraction: float = 0.1):
         if total_steps <= 0:
             raise ShapeError("total_steps must be positive")
         if not 0.0 <= warmup_fraction <= 1.0:
@@ -595,9 +583,6 @@ class OptimizerState:
         self.base_lr = base_lr
         self.total_steps = total_steps
         self.warmup_fraction = warmup_fraction
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
 
@@ -625,7 +610,7 @@ def adam_step(params: Iterable[Parameter], state: OptimizerState) -> None:
     state.step += 1
     t = state.step
     lr = lr_schedule(state, t)
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     for p in params:
         if not p.trainable:
             continue

@@ -35,12 +35,6 @@ class ProbeReport:
     xsim: list[float]  # one value per encoder layer, layer 1 first
     items: int
 
-    def to_table(self) -> str:
-        lines = ["layer_index\tmodel_label\txsim"]
-        for i, value in enumerate(self.xsim, start=1):
-            lines.append(f"{i}\t{self.model_label}\t{value:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))

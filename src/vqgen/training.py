@@ -127,14 +127,9 @@ class StageResult:
 
 def build_examples(corpus: dt.LoadedSplit, mode: str) -> list[TrainingExample]:
     """One example per (item, ground-truth question) pair."""
-    special = corpus.vocab.special
     out: list[TrainingExample] = []
     for item in corpus.items:
-        caption_ids = dt.encode_text(item.caption, corpus.vocab) if mode != mm.IMAGE_ONLY else None
-        visual = corpus.visual(item) if mode != mm.CAPTION_ONLY else None
-        inp = mm.assemble_input(
-            mode, visual=visual, caption=caption_ids, cls_id=special.cls, sep_id=special.sep
-        )
+        inp = corpus.assemble(item, mode)
         for question in item.questions:
             out.append(TrainingExample(input=inp, target=dt.encode_text(question, corpus.vocab)))
     return out
@@ -268,7 +263,7 @@ def _batch_logits(
         labels.extend(ex_labels)
 
     x = _embed_batch(params, batch, special, r_max)
-    states, _ = md.encode_states(x, allow, params, dropout=dropout, rng=rng)
+    states = md.encode_states(x, allow, params, dropout=dropout, rng=rng)
     flat = nm.reshape(states[-1], (len(batch.examples) * r_max, d))
     pred_states = nm.take_rows(flat, np.asarray(flat_pred_rows))
     return md.decode_logits(pred_states, params), np.asarray(labels)

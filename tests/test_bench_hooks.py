@@ -4,6 +4,8 @@ name the benchmark looks up, instead of leaving it to break `bench/run.py`."""
 
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from vqgen import data, generation, metrics, model, multimodal, numerics, probe, training
@@ -53,3 +55,13 @@ def test_clock_hook_targets_exist():
     assert CLOCK_HOOKS <= found
     for module, attr in found:
         assert callable(getattr(MODULES[module], attr, None)), f"{module}.{attr}"
+
+
+def test_bench_selftest_passes():
+    # the benchmark's output checks read objects from `src/` (input slots,
+    # parameter arrays, generated tokens); its selftest runs every one of them
+    # at tiny scale, so a deletion the benchmark depends on fails here
+    root = BENCH.parent
+    result = subprocess.run([sys.executable, str(BENCH / "selftest.py")], cwd=root,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

@@ -166,25 +166,60 @@ class TestErrors:
                     "--out", str(tmp_path / "x.ckpt")]) == 3
 
     def test_malformed_config_exits_3(self, tmp_path, capsys):
+        from vqgen import data as dt
+        from vqgen import model as md
+
         data = tmp_path / "data"
         assert run(["synth", "--out", str(data), "--seed", "1",
                     "--train", "4", "--val", "1", "--test", "1"]) == 0
+        # a checkpoint that fits the data: synth's default region count and feature dim
+        ckpt = tmp_path / "s.ckpt"
+        config = md.ModelConfig(num_layers=1, num_heads=2, model_dim=16, ffn_dim=32,
+                                vocab_size=len(dt.load_split(data, "train").vocab))
+        md.save_checkpoint(ckpt, config, md.init_parameters(config, 0))
         cfg = tmp_path / "bad.cfg"
+        missing = tmp_path / "nonexistent.cfg"
         out = tmp_path / "x.out"
         train = ["train", "--stage", "1"]
         probe = ["probe", "--include-random", "--split", "val"]
+        probe_ckpt = ["probe", "--ckpt", str(ckpt), "--split", "val"]
         for argv, text, key in [(train, "not_a_real_key=3\n", "not_a_real_key"),
                                 (train, TOY_CONFIG + "use_type_embeddings=yes\n",
                                  "use_type_embeddings"),
+                                (train, TOY_CONFIG + "num_heads=0\n", "num_heads"),
+                                (train, TOY_CONFIG + "num_layers=abc\n", "num_layers"),
                                 (probe, TOY_CONFIG + "use_type_embeddings=2\n",
-                                 "use_type_embeddings")]:
-            cfg.write_text(text)
+                                 "use_type_embeddings"),
+                                (probe, "dropout=abc\n", "dropout"),
+                                (probe_ckpt, None, "nonexistent.cfg"),
+                                (probe_ckpt, "num_layers=3\n", "num_layers")]:
+            if text is not None:
+                cfg.write_text(text)
             capsys.readouterr()
-            code = run(argv + ["--data", str(data), "--config", str(cfg), "--out", str(out)])
+            path = cfg if text is not None else missing
+            code = run(argv + ["--data", str(data), "--config", str(path), "--out", str(out)])
             err = capsys.readouterr().err
             assert code == 3, text
             assert len(err.strip().splitlines()) == 1 and key in err
             assert not out.exists()
+
+    def test_corpus_questions_not_a_list_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "1", "--test", "1"]) == 0
+        train = data / "train.jsonl"
+        lines = train.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["questions"] = "what color is the cube ?"  # a string, not a list of them
+        lines[2] = json.dumps(record)
+        train.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--stage", "1",
+                    "--out", str(tmp_path / "x.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1 and "train.jsonl:3" in err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_config_bool_spelling_train(self, tmp_path):
         from vqgen import model as md

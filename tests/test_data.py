@@ -125,12 +125,26 @@ class TestCorpusFiles:
         back = dt.load_corpus(path)
         assert len(back) == 2
         assert back[0].questions == ["what ?", "who ?"]
-        assert dt.read_corpus_meta(path) == {"seed": 1}
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "caption": "x", "questions": ["q"]}\n')
         with pytest.raises(dt.FormatError, match=":1:"):
+            dt.load_corpus(path)
+
+    @pytest.mark.parametrize("record, problem", [
+        ('{"id": "a", "caption": "x", "questions": 5, "feature_ref": "f#0"}', "questions"),
+        ('{"id": "a", "caption": "x", "questions": "what color is the cube ?", '
+         '"feature_ref": "f#0"}', "questions"),
+        ('{"id": "a", "caption": "x", "questions": ["q", 3], "feature_ref": "f#0"}', "questions"),
+        ('{"id": "a", "caption": 7, "questions": ["q"], "feature_ref": "f#0"}', "caption"),
+        ("5", "record"),
+        ('["id", "caption", "questions", "feature_ref"]', "record"),
+    ])
+    def test_wrong_type_names_line(self, tmp_path, record, problem):
+        path = tmp_path / "c.jsonl"
+        path.write_text("# meta\n" + record + "\n")
+        with pytest.raises(dt.FormatError, match=f":2: {problem} must be"):
             dt.load_corpus(path)
 
     def test_malformed_json_names_line(self, tmp_path):
@@ -141,10 +155,11 @@ class TestCorpusFiles:
 
     def test_duplicate_ids(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        rec = '{"id": "a", "caption": "x", "questions": ["q"], "feature_ref": "f#0"}\n'
-        path.write_text(rec + rec)
-        with pytest.raises(dt.FormatError, match="duplicate"):
-            dt.load_corpus(path)
+        for item_id in ('"a"', '["a"]'):  # ids compare as strings, so any JSON value works
+            rec = f'{{"id": {item_id}, "caption": "x", "questions": ["q"], "feature_ref": "f#0"}}\n'
+            path.write_text(rec + rec)
+            with pytest.raises(dt.FormatError, match="duplicate"):
+                dt.load_corpus(path)
 
 
 class TestSynthDataset:

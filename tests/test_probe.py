@@ -107,12 +107,13 @@ class TestXsim:
         report = pb.xsim_per_layer(params, make_pairs(config))
         assert all(v < 0.5 for v in report.xsim)
 
-    def test_table_format(self):
+    def test_table_format(self, tmp_path):
         config = probe_config()
         params = md.init_parameters(config, 1)
         report = pb.xsim_per_layer(params, make_pairs(config), label="stage1")
-        table = report.to_table()
-        lines = table.strip().split("\n")
+        path = tmp_path / "probe.tsv"
+        pb.write_probe_table(path, [report])
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "layer_index\tmodel_label\txsim"
         assert len(lines) == 1 + config.num_layers
         assert lines[1].startswith("1\tstage1\t")
