@@ -257,6 +257,8 @@ def _cmd_eval(args, argv) -> int:
 def _cmd_probe(args, argv) -> int:
     if not args.ckpt and not args.include_random:
         raise UsageError("probe needs at least one --ckpt or --include-random")
+    if args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, got {args.limit}")
     split = dt.load_split(args.data, args.split)
     fixed, source = {"vocab_size": len(split.vocab)}, "data vocabulary"
     reports = []

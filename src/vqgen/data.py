@@ -317,6 +317,8 @@ class SynthWorld:
     feature_dim: int = 32
 
     def __post_init__(self):
+        if self.num_regions < 1:
+            raise DimensionError(f"num_regions must be >= 1, got {self.num_regions}")
         minimum = len(SHAPES) + len(COLORS) + len(SIZES) + 1
         if self.feature_dim < minimum:
             raise DimensionError(f"feature_dim must be >= {minimum} to encode attributes")
@@ -382,9 +384,9 @@ def synth_dataset(
         raise FormatError("all synthetic counts must be >= 1")
     if refs_per_item > len(QUESTION_TEMPLATES):
         raise FormatError(f"refs_per_item above {len(QUESTION_TEMPLATES)} is not supported")
+    world = SynthWorld(seed=seed, num_regions=num_regions, feature_dim=feature_dim)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    world = SynthWorld(seed=seed, num_regions=num_regions, feature_dim=feature_dim)
     written: dict[str, Path] = {}
     base_meta = {"seed": seed, "refs_per_item": refs_per_item,
                  "num_regions": num_regions, "feature_dim": feature_dim}

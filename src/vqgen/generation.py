@@ -62,9 +62,7 @@ def build_left_to_right_mask(n_input: int, n_target: int) -> AttentionMask:
     s = n_input + n_target
     allow = np.zeros((s, s), dtype=bool)
     allow[:, :n_input] = True
-    for i in range(n_input, s):
-        allow[i, n_input : i + 1] = True
-    allow[:n_input, n_input:] = False
+    allow[n_input:, n_input:] = np.tri(n_target, dtype=bool)
     return AttentionMask(allow=allow, n_input=n_input)
 
 

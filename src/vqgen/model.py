@@ -23,7 +23,6 @@ from . import numerics as nm
 from .multimodal import AssembledInput
 from .numerics import Parameter, Tensor
 
-LAYER_NORM_EPS = 1e-12
 MASKED_LOGIT = -1e9
 
 CHECKPOINT_MAGIC = b"MGCK"
@@ -415,7 +414,6 @@ def encode_states(
             nm.add(x, ctx),
             params[f"{pre}.attn_norm.gain"].value,
             params[f"{pre}.attn_norm.bias"].value,
-            eps=LAYER_NORM_EPS,
         )
         ff = nm.affine(x, params[f"{pre}.ffn.w1"].value, params[f"{pre}.ffn.b1"].value)
         ff = nm.gelu(ff)
@@ -425,7 +423,6 @@ def encode_states(
             nm.add(x, ff),
             params[f"{pre}.ffn_norm.gain"].value,
             params[f"{pre}.ffn_norm.bias"].value,
-            eps=LAYER_NORM_EPS,
         )
         states.append(x)
     if cache is not None:
@@ -434,14 +431,7 @@ def encode_states(
     return states
 
 
-def encode(
-    embedded: Tensor,
-    mask,
-    params: Parameters,
-    *,
-    dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> list[Tensor]:
+def encode(embedded: Tensor, mask, params: Parameters) -> list[Tensor]:
     """Encode one (S, d) sequence; returns the num_layers+1 per-layer outputs.
 
     `mask` is an AttentionMask or a plain (S, S) boolean allow-matrix.
@@ -451,7 +441,7 @@ def encode(
     if allow.shape != (s, s):
         raise nm.ShapeError(f"mask is {allow.shape}, expected ({s}, {s})")
     x = nm.reshape(embedded, (1, s, d))
-    states = encode_states(x, allow, params, dropout=dropout, rng=rng)
+    states = encode_states(x, allow, params)
     return [nm.reshape(st, (s, d)) for st in states]
 
 
@@ -459,9 +449,7 @@ def decode_logits(hidden: Tensor, params: Parameters) -> Tensor:
     """Head over (N, d) final-layer states: feed-forward, norm, tied-embedding
     matmul; shape (N, vocab_size)."""
     h = nm.gelu(nm.affine(hidden, params["head.dense_w"].value, params["head.dense_b"].value))
-    h = nm.layer_norm(
-        h, params["head.norm.gain"].value, params["head.norm.bias"].value, eps=LAYER_NORM_EPS
-    )
+    h = nm.layer_norm(h, params["head.norm.gain"].value, params["head.norm.bias"].value)
     return nm.add(
         nm.matmul(h, nm.transpose(params["embeddings.token"].value)),
         params["head.output_bias"].value,

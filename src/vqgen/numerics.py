@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+LAYER_NORM_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -367,7 +368,7 @@ def softmax_rows(x) -> Tensor:
     return Tensor(out, (x,), vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
@@ -376,7 +377,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed = centered * inv
     out = normed * gain.data + bias.data
     if not _grad_enabled:
@@ -441,39 +442,32 @@ def gelu(x) -> Tensor:
     return Tensor(out, (x,), vjp)
 
 
-def cross_entropy(logits, targets, ignore_id: int = -1) -> Tensor:
-    """Mean of -log softmax(logits)[target] over positions whose target != ignore_id."""
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean over rows of -log softmax(logits)[target]."""
     logits = _as_tensor(logits)
     ids = np.asarray(targets, dtype=np.int64).reshape(-1)
     if logits.ndim < 2:
         raise ShapeError("cross_entropy expects logits with ndim >= 2")
     v = logits.shape[-1]
     flat = logits.data.reshape(-1, v)
-    if flat.shape[0] != ids.shape[0]:
-        raise ShapeError(f"{flat.shape[0]} logit rows vs {ids.shape[0]} targets")
-    keep = ids != ignore_id
-    n_valid = int(keep.sum())
-    if n_valid == 0:
-        raise StateError("cross_entropy: every position is ignored")
-    bad = keep & ((ids < 0) | (ids >= v))
-    if bad.any():
+    n = ids.shape[0]
+    if flat.shape[0] != n or n == 0:
+        raise ShapeError(f"{flat.shape[0]} logit rows vs {n} targets")
+    if np.any((ids < 0) | (ids >= v)):
         raise ShapeError(f"target id out of range [0,{v})")
 
     shifted = flat - flat.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1))
-    rows = np.nonzero(keep)[0]
-    nll = logz[rows] - shifted[rows, ids[rows]]
-    out = nll.sum() / n_valid
+    rows = np.arange(n)
+    out = (logz - shifted[rows, ids]).sum() / n
     if not _grad_enabled:
         return Tensor(out)
     _check_finite(np.asarray(out), "cross_entropy")
 
     def vjp(g):
-        probs = np.exp(shifted - logz[:, None])
-        grad = np.zeros_like(flat)
-        grad[rows] = probs[rows]
-        grad[rows, ids[rows]] -= 1.0
-        grad *= float(g) / n_valid
+        grad = np.exp(shifted - logz[:, None])
+        grad[rows, ids] -= 1.0
+        grad *= float(g) / n
         return (grad.reshape(logits.shape),)
 
     return Tensor(out, (logits,), vjp)
@@ -597,8 +591,6 @@ def lr_schedule(state: OptimizerState, step: int) -> float:
         return 0.0
     if step < warm:
         return state.base_lr * step / warm
-    if total == warm:
-        return state.base_lr
     return state.base_lr * (total - step) / (total - warm)
 
 

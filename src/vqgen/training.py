@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import data as dt
+from . import generation as gen
 from . import model as md
 from . import multimodal as mm
 from . import numerics as nm
@@ -40,8 +41,6 @@ STAGE_MODES = {
     STAGE3: mm.IMAGE_PLUS_CAPTION,
     STAGE3_SCRATCH: mm.IMAGE_PLUS_CAPTION,
 }
-
-IGNORE_ID = -1
 
 
 class PrerequisiteError(RuntimeError):
@@ -86,8 +85,18 @@ class StagePlan:
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"unknown dtype {self.dtype!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        rules = {
+            "epochs": (self.epochs >= 1, ">= 1"),
+            "batch_size": (self.batch_size >= 1, ">= 1"),
+            "max_steps": (self.max_steps is None or self.max_steps >= 1, "None or >= 1"),
+            "base_lr": (math.isfinite(self.base_lr) and self.base_lr > 0, "finite and > 0"),
+            "grad_clip": (math.isfinite(self.grad_clip) and self.grad_clip >= 0, "finite and >= 0"),
+            "warmup_fraction": (0.0 <= self.warmup_fraction <= 1.0, "in [0, 1]"),
+            "dropout": (0.0 <= self.dropout < 1.0, "in [0, 1)"),
+        }
+        for key, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"{key}={getattr(self, key)!r} is out of range: must be {rule}")
         if self.stage in (STAGE2, STAGE2_UNFREEZE) and self.init_stage1 is None:
             raise PrerequisiteError(f"{self.stage} requires a stage-1 checkpoint")
         if self.stage == STAGE3:
@@ -154,119 +163,78 @@ def make_batches(corpus: dt.LoadedSplit, mode: str, batch_size: int, seed) -> li
 
 def teacher_forcing_mask(n_input: int, n_target: int) -> np.ndarray:
     """Allow-matrix over [input | y_1..y_T | m_1..m_T+1] rows (see module doc)."""
-    r = n_input + 2 * n_target + 1
-    allow = np.zeros((r, r), dtype=bool)
-    allow[:n_input, :n_input] = True
-    for t in range(1, n_target + 1):
-        i = n_input + t - 1
-        allow[i, :n_input] = True
-        allow[i, n_input : i + 1] = True
-    for t in range(1, n_target + 2):
-        i = n_input + n_target + t - 1
-        allow[i, :n_input] = True
-        allow[i, n_input : n_input + t - 1] = True
-        allow[i, i] = True
+    s = n_input + n_target
+    allow = np.zeros((s + n_target + 1, s + n_target + 1), dtype=bool)
+    allow[:s, :s] = gen.build_left_to_right_mask(n_input, n_target).allow
+    allow[s:, :n_input] = True  # m_t sees the input,
+    allow[s:, n_input:s] = np.tri(n_target + 1, n_target, -1, dtype=bool)  # y_1..y_t-1
+    allow[s:, s:] = np.eye(n_target + 1, dtype=bool)  # and itself
     return allow
 
 
-def _example_rows(example: TrainingExample, special: md.SpecialTokens):
-    """(extra_tokens, extra_positions, prediction_row_indices, labels)."""
-    n = len(example.input)
-    t_len = len(example.target)
-    extra_tokens = list(example.target) + [special.mask] * (t_len + 1)
-    extra_positions = list(range(n, n + t_len)) + list(range(n, n + t_len + 1))
-    pred_rows = [n + t_len + t for t in range(t_len + 1)]
-    labels = list(example.target) + [special.eos]
-    return extra_tokens, extra_positions, pred_rows, labels
-
-
-def teacher_forced_logits(
-    params: md.Parameters,
-    example: TrainingExample,
-    special: md.SpecialTokens = md.SpecialTokens(),
-    *,
-    dropout: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
+def teacher_forced_logits(params: md.Parameters, example: TrainingExample) -> Tensor:
     """Per-step next-token logits, shape (T+1, V); row t predicts y_t (last row EOS)."""
-    return _batch_logits(params, Batch([example]), special, dropout=dropout, rng=rng)[0]
+    return _batch_logits(params, Batch([example]))[0]
 
 
-def sequence_log_prob(
-    params: md.Parameters,
-    example: TrainingExample,
-    special: md.SpecialTokens = md.SpecialTokens(),
-) -> float:
+def sequence_log_prob(params: md.Parameters, example: TrainingExample) -> float:
     """Sum over steps of log P(y_t | input, y_<t), end token included."""
-    logits = teacher_forced_logits(params, example, special)
+    logits, labels = _batch_logits(params, Batch([example]))
     probs = nm.softmax_rows(logits).data
-    labels = list(example.target) + [special.eos]
     return float(sum(math.log(probs[t, y]) for t, y in enumerate(labels)))
 
 
 def _embed_batch(
-    params: md.Parameters,
-    batch: Batch,
-    special: md.SpecialTokens,
-    r_max: int,
-) -> Tensor:
-    """Batched (B, R, d) embedding of teacher-forcing rows, padded to R = r_max.
+    params: md.Parameters, batch: Batch, special: md.SpecialTokens
+) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
+    """Teacher-forcing rows of a batch, built example by example and padded
+    once to the longest: the (B, R, d) embedding, the (B, R, R) allow mask,
+    the flat indices of the prediction rows and the labels they predict.
 
     Region slots occupy the same rows in every example of an image-mode batch
     (the assembled layout is uniform), so one projection covers them.
     """
-    b_size = len(batch.examples)
-    ids = np.full((b_size, r_max), special.pad, dtype=np.int64)
-    positions = np.zeros((b_size, r_max), dtype=np.int64)
-    regions, layouts = [], set()
-    for b, ex in enumerate(batch.examples):
+    if not batch.examples:
+        raise ValueError("empty batch")
+    blocks = [teacher_forcing_mask(len(ex.input), len(ex.target)) for ex in batch.examples]
+    r_max = max(len(block) for block in blocks)
+    ids = np.full((len(blocks), r_max), special.pad, dtype=np.int64)
+    positions = np.zeros((len(blocks), r_max), dtype=np.int64)
+    allow = np.zeros((len(blocks), r_max, r_max), dtype=bool)
+    allow[:, :, 0] = True  # real rows see slot 0 anyway; pad rows need one key
+    regions, layouts, pred_rows, labels = [], set(), [], []
+    for b, (ex, block) in enumerate(zip(batch.examples, blocks)):
         input_ids, input_regions = md.input_arrays(ex.input)
-        layouts.add((ex.input.visual_span, input_regions.shape))
-        extra_tokens, extra_positions, _, _ = _example_rows(ex, special)
-        r = len(input_ids) + len(extra_tokens)
-        ids[b, :r] = np.concatenate([input_ids, extra_tokens])
-        positions[b, :r] = np.concatenate([ex.input.positions, extra_positions])
+        n, t, r = len(input_ids), len(ex.target), len(block)
+        ids[b, :r] = [*input_ids, *ex.target] + [special.mask] * (t + 1)
+        positions[b, :r] = [*ex.input.positions, *range(n, n + t), *range(n, n + t + 1)]
+        allow[b, :r, :r] = block
+        pred_rows.extend(range(b * r_max + r - t - 1, b * r_max + r))
+        labels += [*ex.target, special.eos]
         regions.append(input_regions)
+        layouts.add((ex.input.visual_span, input_regions.shape))
     if len(layouts) > 1:
         raise nm.ShapeError("mixed input layouts or region dims inside one batch")
     visual_span = batch.examples[0].input.visual_span
-    return md.embed_rows(params, ids, positions, np.stack(regions), visual_span)
+    x = md.embed_rows(params, ids, positions, np.stack(regions), visual_span)
+    return x, allow, np.asarray(pred_rows), np.asarray(labels)
 
 
 def _batch_logits(
     params: md.Parameters,
     batch: Batch,
-    special: md.SpecialTokens,
+    special: md.SpecialTokens = md.SpecialTokens(),
     *,
-    dropout: float,
-    rng: Optional[np.random.Generator],
+    dropout: float = 0.0,
+    rng: Optional[np.random.Generator] = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Logits at every prediction slot of the batch, example by example, and
     the labels they are scored against."""
-    if not batch.examples:
-        raise ValueError("empty batch")
-    d = params.config.model_dim
-    rows_per_example = [
-        len(ex.input) + 2 * len(ex.target) + 1 for ex in batch.examples
-    ]
-    r_max = max(rows_per_example)
-
-    allow = np.zeros((len(batch.examples), r_max, r_max), dtype=bool)
-    flat_pred_rows: list[int] = []
-    labels: list[int] = []
-    for b, ex in enumerate(batch.examples):
-        r = rows_per_example[b]
-        allow[b, :r, :r] = teacher_forcing_mask(len(ex.input), len(ex.target))
-        allow[b, r:, 0] = True  # pad rows watch the first slot; loss ignores them
-        _, _, pred_rows, ex_labels = _example_rows(ex, special)
-        flat_pred_rows.extend(b * r_max + i for i in pred_rows)
-        labels.extend(ex_labels)
-
-    x = _embed_batch(params, batch, special, r_max)
+    x, allow, pred_rows, labels = _embed_batch(params, batch, special)
+    b, r, d = x.shape
     states = md.encode_states(x, allow, params, dropout=dropout, rng=rng)
-    flat = nm.reshape(states[-1], (len(batch.examples) * r_max, d))
-    pred_states = nm.take_rows(flat, np.asarray(flat_pred_rows))
-    return md.decode_logits(pred_states, params), np.asarray(labels)
+    pred_states = nm.take_rows(nm.reshape(states[-1], (b * r, d)), pred_rows)
+    return md.decode_logits(pred_states, params), labels
 
 
 def stage_loss(
@@ -278,21 +246,15 @@ def stage_loss(
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Mean next-token cross-entropy over every prediction slot in the batch."""
-    logits, labels = _batch_logits(params, batch, special, dropout=dropout, rng=rng)
-    return nm.cross_entropy(logits, labels, ignore_id=IGNORE_ID)
+    return nm.cross_entropy(*_batch_logits(params, batch, special, dropout=dropout, rng=rng))
 
 
-def next_token_accuracy(
-    params: md.Parameters,
-    examples: Sequence[TrainingExample],
-    special: md.SpecialTokens = md.SpecialTokens(),
-) -> float:
+def next_token_accuracy(params: md.Parameters, examples: Sequence[TrainingExample]) -> float:
     """Fraction of teacher-forced steps whose argmax equals the ground truth."""
     hits = total = 0
     for ex in examples:
-        logits = teacher_forced_logits(params, ex, special).data
-        labels = list(ex.target) + [special.eos]
-        hits += int(np.sum(np.argmax(logits, axis=1) == np.asarray(labels)))
+        logits, labels = _batch_logits(params, Batch([ex]))
+        hits += int(np.sum(np.argmax(logits.data, axis=1) == labels))
         total += len(labels)
     return hits / total if total else 0.0
 

@@ -188,6 +188,14 @@ class TestErrors:
                                  "use_type_embeddings"),
                                 (train, TOY_CONFIG + "num_heads=0\n", "num_heads"),
                                 (train, TOY_CONFIG + "num_layers=abc\n", "num_layers"),
+                                (train + ["--batch-size", "0"], "\n", "batch_size=0"),
+                                (train, "batch_size=0\n", "batch_size=0"),
+                                (train, "batch_size=-3\n", "batch_size=-3"),
+                                (train, "epochs=0\n", "epochs=0"),
+                                (train, "max_steps=0\n", "max_steps=0"),
+                                (train, "base_lr=nan\n", "base_lr=nan"),
+                                (train, "grad_clip=nan\n", "grad_clip=nan"),
+                                (train, "warmup_fraction=1.5\n", "warmup_fraction=1.5"),
                                 (probe, TOY_CONFIG + "use_type_embeddings=2\n",
                                  "use_type_embeddings"),
                                 (probe, "dropout=abc\n", "dropout"),
@@ -308,6 +316,21 @@ class TestErrors:
         assert code == 3
         assert len(err.strip().splitlines()) == 1
         assert "CheckpointError" in err
+
+    def test_probe_negative_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "4", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG)
+        capsys.readouterr()
+        code = run(["probe", "--data", str(data), "--split", "val", "--config", str(cfg),
+                    "--include-random", "--limit", "-3", "--out", str(tmp_path / "probe.tsv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "--limit" in err
+        assert not (tmp_path / "probe.tsv").exists()
 
     def test_probe_empty_caption_exits_3(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -34,6 +35,11 @@ class TestVocabulary:
         items = items_from([("a cat", ["a dog ?"])])
         vocab = dt.build_vocab(items)
         assert vocab.id_to_token[:6] == list(dt.SPECIAL_TOKEN_STRINGS)
+        # each special-token id maps to its own string: pad -> [PAD] ... eos -> [EOS]
+        names = [f.name for f in dataclasses.fields(vocab.special)]
+        assert names == ["pad", "unk", "cls", "sep", "mask", "eos"]
+        for name in names:
+            assert vocab.id_to_token[getattr(vocab.special, name)] == f"[{name.upper()}]"
         # 'a' appears twice; then singletons ?, cat, dog lexicographically
         assert vocab.id_to_token[6:] == ["a", "?", "cat", "dog"]
 
@@ -187,6 +193,13 @@ class TestSynthDataset:
         dt.synth_dataset(tmp_path, seed=1, n_train=2, n_val=1, n_test=1, num_regions=5)
         seqs = dt.read_features(tmp_path / "train.features", expected_regions=5)
         assert all(len(s) == 5 for s in seqs)
+
+    @pytest.mark.parametrize("regions", [0, -2])
+    def test_region_count_below_one_rejected(self, tmp_path, regions):
+        out = tmp_path / "out"
+        with pytest.raises(dt.DimensionError, match="num_regions"):
+            dt.synth_dataset(out, seed=1, n_train=2, n_val=1, n_test=1, num_regions=regions)
+        assert not out.exists()
 
     def test_questions_reference_main_object_attributes(self, tmp_path):
         dt.synth_dataset(tmp_path, seed=3, n_train=8, n_val=1, n_test=1)

@@ -99,7 +99,7 @@ class TestLayerNorm:
         assert np.allclose(out.data, 0.0)
 
     def test_analytic_two_point(self):
-        out = layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2), eps=1e-300)
+        out = layer_norm(np.array([[1.0, -1.0]]), np.ones(2), np.zeros(2))
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-9)
 
     def test_statistics_pre_affine(self):
@@ -164,16 +164,6 @@ class TestCrossEntropy:
         manual /= 6
         loss = cross_entropy(logits, targets)
         assert abs(loss.item() - manual) < 1e-12
-
-    def test_ignore_id(self):
-        logits = np.array([[2.0, 0.0], [0.0, 2.0], [5.0, 5.0]])
-        full = cross_entropy(logits[:2], [0, 1])
-        partial = cross_entropy(logits, [0, 1, -1], ignore_id=-1)
-        assert abs(full.item() - partial.item()) < 1e-12
-
-    def test_all_ignored_raises(self):
-        with pytest.raises(nm.StateError):
-            cross_entropy(np.zeros((2, 3)), [-1, -1], ignore_id=-1)
 
     def test_out_of_range_target(self):
         with pytest.raises(nm.ShapeError):
@@ -284,7 +274,7 @@ class TestBackwardBitExact:
         gain = Parameter("gain", (rng.normal(size=12) * 0.1 + 1.0).astype(dtype))
         bias = Parameter("bias", rng.normal(size=12).astype(dtype))
         x = Parameter("x", xd)
-        got = layer_norm(x.value, gain.value, bias.value, eps=1e-12)._vjp(g)
+        got = layer_norm(x.value, gain.value, bias.value)._vjp(g)
         expected = closed_form_layer_norm_vjp(xd, gain.value.data, g, 1e-12)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype == dtype
@@ -430,6 +420,11 @@ class TestSchedule:
         assert np.max(np.abs(ramp - ramp[0])) < 1e-12
         assert np.max(np.abs(decay - decay[0])) < 1e-12
         assert max(values) == 1.0
+
+    def test_all_warmup(self):
+        # warmup_fraction 1: the ramp runs through step total - 1, then the lr is 0
+        state = self.make_state(base=1.0, total=8, warm=1.0)
+        assert [lr_schedule(state, s) for s in range(9)] == [s / 8 for s in range(8)] + [0.0]
 
     def test_no_warmup(self):
         state = self.make_state(base=0.5, total=10, warm=0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,23 @@ class TestTeacherForcingMask:
         allow = tr.teacher_forcing_mask(3, 0)
         assert allow.shape == (4, 4)
         assert np.array_equal(allow[3], [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("n_input", range(1, 9))
+    def test_every_cell_follows_the_rule(self, n_input):
+        for n_target in range(9):
+            allow = tr.teacher_forcing_mask(n_input, n_target)
+            r = n_input + 2 * n_target + 1
+            assert allow.shape == (r, r) and allow.dtype == bool
+            for i in range(r):
+                for j in range(r):
+                    if i < n_input:  # input row: the input block only
+                        want = j < n_input
+                    elif i < n_input + n_target:  # y_t: input, y_1..y_t
+                        want = j <= i
+                    else:  # m_t: input, y_1..y_t-1, itself
+                        t = i - n_input - n_target + 1
+                        want = j < n_input + t - 1 or j == i
+                    assert allow[i, j] == want, (n_input, n_target, i, j)
 
 
 class TestStageLoss:
@@ -187,7 +205,7 @@ class TestEmbedBatch:
         params.astype(dtype)
         examples = examples_of_different_lengths(split, mode)
         rows = [len(ex.input) + 2 * len(ex.target) + 1 for ex in examples]
-        batched = tr._embed_batch(params, tr.Batch(examples), SP, max(rows)).data
+        batched = tr._embed_batch(params, tr.Batch(examples), SP)[0].data
         for b, ex in enumerate(examples):
             extra = list(ex.target) + [SP.mask] * (len(ex.target) + 1)
             n = len(ex.input)
@@ -264,6 +282,22 @@ class TestStagePlanValidation:
     def test_dropout_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError, match="dropout"):
             tr.StagePlan(stage=tr.STAGE1, dropout=rate)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("batch_size", -3),
+        ("max_steps", 0), ("max_steps", -2), ("base_lr", 0.0), ("base_lr", -1e-3),
+        ("base_lr", float("nan")), ("base_lr", float("inf")), ("grad_clip", -1.0),
+        ("grad_clip", float("nan")), ("grad_clip", float("inf")),
+        ("warmup_fraction", -0.1), ("warmup_fraction", 1.5), ("warmup_fraction", float("nan")),
+    ])
+    def test_out_of_range_value_names_key_and_value(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"{key}={value!r} is out of range")):
+            tr.StagePlan(stage=tr.STAGE1, **{key: value})
+
+    def test_edge_values_accepted(self):
+        tr.StagePlan(stage=tr.STAGE1, epochs=1, batch_size=1, max_steps=1, base_lr=1e-9,
+                     grad_clip=0.0, warmup_fraction=1.0)
+        tr.StagePlan(stage=tr.STAGE1, max_steps=None, warmup_fraction=0.0)
 
     def test_stage2_requires_stage1(self):
         with pytest.raises(tr.PrerequisiteError):
