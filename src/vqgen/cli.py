@@ -198,6 +198,8 @@ def _load_model_and_split(ckpt_path, data_dir, split_name):
 
 
 def _cmd_generate(args, argv) -> int:
+    if args.max_length < 1:
+        raise UsageError(f"--max-length must be >= 1, got {args.max_length}")
     config, params, _, split = _load_model_and_split(args.ckpt, args.data, args.split)
     _print_run_header(args, config)
     mode = GENERATE_MODES[args.mode]
@@ -219,7 +221,7 @@ def _cmd_generate(args, argv) -> int:
 
 
 def _read_generated(path) -> list[tuple[str, str]]:
-    out = []
+    out, seen = [], set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -228,6 +230,9 @@ def _read_generated(path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise dt.FormatError(f"{path}:{lineno}: expected 'id<TAB>text'")
             item_id, text = line.split("\t", 1)
+            if item_id in seen:
+                raise dt.FormatError(f"{path}:{lineno}: id {item_id!r} appears twice")
+            seen.add(item_id)
             out.append((item_id, text))
     return out
 
@@ -382,6 +387,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args, argv)
     except UsageError as exc:
         return _fail(EXIT_USAGE, exc)

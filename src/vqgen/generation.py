@@ -91,14 +91,10 @@ def next_token(
     if past and not n_input <= past < total:
         raise nm.StateError(f"cache holds {past} rows; expected {n_input}..{total - 1}")
     with nm.no_grad():
-        extra = [*prefix, mask_id][max(past - n_input, 0) :]
-        positions = list(range(total - len(extra), total))
+        ids = np.append(input.ids, [*prefix, mask_id])[None, past:]
+        span = (0, 0) if past else input.visual_span  # a cache holds the region rows
+        x = md.embed_rows(params, ids, np.arange(past, total)[None], input.regions[None], span)
         s_new = total - past
-        if past:  # the input rows are cached: embed only the appended slots
-            x = md.embed_rows(params, np.array([extra]), np.array([positions]), None, (0, 0))
-        else:
-            embedded = md.embed_extended(input, extra, positions, params)
-            x = nm.reshape(embedded, (1, *embedded.shape))
         allow = build_left_to_right_mask(n_input, len(prefix) + 1).allow[past:]
         states = md.encode_states(x, allow, params, cache=cache, keep=s_new - 1)
         mask_row = nm.reshape(nm.narrow(states[-1], 1, s_new - 1, 1), (1, x.shape[2]))

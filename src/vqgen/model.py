@@ -239,27 +239,6 @@ def init_parameters(config: ModelConfig, seed: int) -> Parameters:
 # ---------------------------------------------------------------------------
 
 
-def input_arrays(input: AssembledInput) -> tuple[np.ndarray, np.ndarray]:
-    """An input's token ids (0 in region slots) and its stacked region vectors.
-
-    Region slots must fill `visual_span` exactly; the regions array is
-    (v1 - v0, object_dim), or (0,) for an input without regions.
-    """
-    v0, v1 = input.visual_span
-    ids = np.zeros(len(input), dtype=np.int64)
-    regions = []
-    for i, slot in enumerate(input.slots):
-        is_token = isinstance(slot, (int, np.integer))
-        if is_token == (v0 <= i < v1):
-            kind = "token" if is_token else "region"
-            raise nm.ShapeError(f"{kind} slot {i} disagrees with visual_span {input.visual_span}")
-        if is_token:
-            ids[i] = slot
-        else:
-            regions.append(np.asarray(slot, dtype=np.float64))
-    return ids, np.array(regions, dtype=np.float64)
-
-
 def embed_rows(
     params: Parameters,
     ids: np.ndarray,
@@ -310,10 +289,9 @@ def embed_extended(
     params: Parameters,
 ) -> Tensor:
     """Embed an assembled input plus appended text tokens; shape (S, model_dim)."""
-    ids, regions = input_arrays(input)
-    ids = np.concatenate([ids, np.asarray(extra_tokens, dtype=np.int64)])
+    ids = np.concatenate([input.ids, np.asarray(extra_tokens, dtype=np.int64)])
     positions = np.concatenate([input.positions, np.asarray(extra_positions, dtype=np.int64)])
-    out = embed_rows(params, ids[None], positions[None], regions[None], input.visual_span)
+    out = embed_rows(params, ids[None], positions[None], input.regions[None], input.visual_span)
     return nm.reshape(out, out.shape[1:])
 
 

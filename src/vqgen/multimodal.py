@@ -59,23 +59,33 @@ class VisualSequence:
 Slot = Union[int, np.ndarray]  # token id, or an object embedding vector
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledInput:
-    """Unified input sequence: token ids and region vectors with positions."""
+    """Unified input sequence; slot i sits at position i.
 
-    mode: str
-    slots: list[Slot]
-    positions: np.ndarray
-    visual_span: tuple[int, int] = (0, 0)
-    text_span: tuple[int, int] = (0, 0)
+    `ids` holds one token id per slot, 0 in the region slots. `regions` holds
+    the (v1 - v0, object_dim) object embeddings of `visual_span`, or is (0,)
+    for an input without regions.
+    """
 
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.int64)
-        if len(self.slots) != self.positions.shape[0]:
-            raise InputError("one position per slot required")
+    ids: np.ndarray
+    regions: np.ndarray
+    visual_span: tuple[int, int]
+    text_span: tuple[int, int]
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.ids)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return np.arange(len(self.ids))
+
+    @property
+    def slots(self) -> list[Slot]:
+        """The layout as one list: token ids as ints, region slots as vectors."""
+        v0, v1 = self.visual_span
+        ids = self.ids.tolist()
+        return [*ids[:v0], *self.regions, *ids[v1:]]
 
 
 def object_embedding(region: ObjectRegion) -> np.ndarray:
@@ -105,27 +115,14 @@ def assemble_input(
         raise InputError(f"mode {mode} requires a visual sequence")
     if needs_caption and caption is None:
         raise InputError(f"mode {mode} requires a caption")
-    caption = list(caption) if caption is not None else []
-
-    slots: list[Slot] = [int(cls_id)]
-    visual_span = (0, 0)
-    text_span = (0, 0)
-    if needs_visual:
-        start = len(slots)
-        for region in visual.regions:
-            slots.append(object_embedding(region))
-        visual_span = (start, len(slots))
-    if mode == IMAGE_PLUS_CAPTION:
-        slots.append(int(sep_id))
-    if needs_caption:
-        start = len(slots)
-        slots.extend(int(t) for t in caption)
-        text_span = (start, len(slots))
-
+    caption = [int(t) for t in caption] if needs_caption else []
+    regions = [object_embedding(r) for r in visual.regions] if needs_visual else []
+    sep = [int(sep_id)] if mode == IMAGE_PLUS_CAPTION else []
+    ids = [int(cls_id), *[0] * len(regions), *sep, *caption]
+    v1 = 1 + len(regions)
     return AssembledInput(
-        mode=mode,
-        slots=slots,
-        positions=np.arange(len(slots)),
-        visual_span=visual_span,
-        text_span=text_span,
+        ids=np.array(ids, dtype=np.int64),
+        regions=np.array(regions, dtype=np.float64),
+        visual_span=(1, v1) if needs_visual else (0, 0),
+        text_span=(v1 + len(sep), len(ids)) if needs_caption else (0, 0),
     )

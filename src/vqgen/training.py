@@ -204,15 +204,14 @@ def _embed_batch(
     allow[:, :, 0] = True  # real rows see slot 0 anyway; pad rows need one key
     regions, layouts, pred_rows, labels = [], set(), [], []
     for b, (ex, block) in enumerate(zip(batch.examples, blocks)):
-        input_ids, input_regions = md.input_arrays(ex.input)
-        n, t, r = len(input_ids), len(ex.target), len(block)
-        ids[b, :r] = [*input_ids, *ex.target] + [special.mask] * (t + 1)
-        positions[b, :r] = [*ex.input.positions, *range(n, n + t), *range(n, n + t + 1)]
+        n, t, r = len(ex.input), len(ex.target), len(block)
+        ids[b, :r] = [*ex.input.ids, *ex.target] + [special.mask] * (t + 1)
+        positions[b, :r] = [*range(n + t), *range(n, n + t + 1)]
         allow[b, :r, :r] = block
         pred_rows.extend(range(b * r_max + r - t - 1, b * r_max + r))
         labels += [*ex.target, special.eos]
-        regions.append(input_regions)
-        layouts.add((ex.input.visual_span, input_regions.shape))
+        regions.append(ex.input.regions)
+        layouts.add((ex.input.visual_span, ex.input.regions.shape))
     if len(layouts) > 1:
         raise nm.ShapeError("mixed input layouts or region dims inside one batch")
     visual_span = batch.examples[0].input.visual_span

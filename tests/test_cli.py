@@ -353,6 +353,51 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert "ProbeError" in err
 
+    def test_eval_duplicate_id_exits_3(self, tmp_path, pipeline, capsys):
+        _, data, *_, gen_file, _, _ = pipeline
+        lines = gen_file.read_text().splitlines()
+        dup = tmp_path / "dup.tsv"
+        dup.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        item_id = lines[-1].split("\t")[0]
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--split", "test",
+                    "--generated", str(dup), "--out", str(tmp_path / "r.txt")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert f"{dup}:{len(lines) + 1}:" in err and repr(item_id) in err
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "1", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        argv = {
+            "synth": ["synth", "--out", str(tmp_path / "other")],
+            "train": ["train", "--data", str(data), "--stage", "1",
+                      "--out", str(tmp_path / "x.ckpt")],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "UsageError" in err and "--seed" in err and "-1" in err
+        assert not (tmp_path / "other").exists() and not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("length", ["0", "-2"])
+    def test_generate_max_length_below_one_exits_2(self, tmp_path, capsys, length):
+        # rejected before the (missing) checkpoint and data are read
+        capsys.readouterr()
+        code = run(["generate", "--data", str(tmp_path / "none"), "--ckpt",
+                    str(tmp_path / "none.ckpt"), "--mode", "both",
+                    "--out", str(tmp_path / "g.tsv"), "--max-length", length])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "--max-length" in err and length in err
+
 
 class TestModuleEntry:
     def test_python_dash_m_smoke(self, tmp_path):

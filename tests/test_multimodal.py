@@ -112,3 +112,38 @@ class TestAssembleInput:
         assert np.array_equal(fwd.slots[1], swapped.slots[2])
         assert np.array_equal(fwd.slots[2], swapped.slots[1])
         assert np.array_equal(fwd.positions, swapped.positions)
+
+
+class TestAssembledArrays:
+    """`ids` and `regions` are the layout; `slots` and `positions` follow from them."""
+
+    @pytest.mark.parametrize(
+        "mode, ids, visual_span, text_span",
+        [
+            (mm.CAPTION_ONLY, [SPECIAL.cls, 10, 11], (0, 0), (1, 3)),
+            (mm.IMAGE_ONLY, [SPECIAL.cls, 0, 0], (1, 3), (0, 0)),
+            (mm.IMAGE_PLUS_CAPTION, [SPECIAL.cls, 0, 0, SPECIAL.sep, 10, 11], (1, 3), (4, 6)),
+        ],
+    )
+    def test_arrays_spans_and_slots(self, mode, ids, visual_span, text_span):
+        visual = mm.VisualSequence([region(seed=0, relevance=0.9), region(seed=1, relevance=0.5)])
+        out = mm.assemble_input(
+            mode, visual=visual, caption=[10, 11], cls_id=SPECIAL.cls, sep_id=SPECIAL.sep
+        )
+        assert out.ids.dtype == np.int64 and out.ids.tolist() == ids
+        assert out.regions.dtype == np.float64
+        assert out.regions.shape == ((0,) if visual_span == (0, 0) else (2, 10))
+        assert (out.visual_span, out.text_span) == (visual_span, text_span)
+        assert np.array_equal(out.positions, np.arange(len(ids)))
+        vectors = [mm.object_embedding(r) for r in visual.regions]
+        expected = {
+            mm.CAPTION_ONLY: [SPECIAL.cls, 10, 11],
+            mm.IMAGE_ONLY: [SPECIAL.cls, *vectors],
+            mm.IMAGE_PLUS_CAPTION: [SPECIAL.cls, *vectors, SPECIAL.sep, 10, 11],
+        }[mode]
+        assert len(out.slots) == len(expected)
+        for got, want in zip(out.slots, expected):
+            if isinstance(want, int):
+                assert type(got) is int and got == want
+            else:
+                assert np.array_equal(got, want)

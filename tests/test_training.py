@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -238,12 +239,7 @@ class TestEmbedBatch:
         _, split, config = small_world
         params = md.init_parameters(config, 0)
         examples = tr.build_examples(split, mm.IMAGE_ONLY)[:3]
-        short = mm.AssembledInput(
-            mode=mm.IMAGE_ONLY,
-            slots=[s if np.ndim(s) == 0 else s[1:] for s in examples[1].input.slots],
-            positions=examples[1].input.positions,
-            visual_span=examples[1].input.visual_span,
-        )
+        short = dataclasses.replace(examples[1].input, regions=examples[1].input.regions[:, 1:])
         examples[1] = tr.TrainingExample(input=short, target=examples[1].target)
         with pytest.raises(nm.ShapeError):
             tr.stage_loss(params, tr.Batch(examples))
