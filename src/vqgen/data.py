@@ -21,7 +21,7 @@ import numpy as np
 
 from . import multimodal as mm
 from .model import SpecialTokens
-from .multimodal import ObjectRegion, VisualSequence
+from .multimodal import VisualSequence
 
 FEATURE_MAGIC = b"VFEA"
 FEATURE_VERSION = 1
@@ -183,29 +183,16 @@ def write_features(path, sequences: Sequence[VisualSequence]) -> None:
     """Serialize per-image region sets in the binary feature format."""
     if not sequences:
         raise FormatError("no visual sequences to write")
-    n = len(sequences[0])
-    d_f = sequences[0].regions[0].feature_dim
-    for seq in sequences:
-        if len(seq) != n:
-            raise DimensionError("all images must carry the same region count")
-        for r in seq.regions:
-            if r.feature_dim != d_f:
-                raise DimensionError("all regions must share one feature dimension")
+    n, d_f = sequences[0].features.shape
+    if any(seq.features.shape != (n, d_f) for seq in sequences):
+        raise DimensionError("all images must carry the same region count and feature dimension")
+    records = np.stack(
+        [np.concatenate([s.features, s.boxes, s.relevance[:, None]], axis=1) for s in sequences]
+    )
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIII", FEATURE_VERSION, len(sequences), n, d_f))
-        for seq in sequences:
-            for r in seq.regions:
-                fh.write(np.asarray(r.features, dtype="<f4").tobytes())
-                fh.write(np.asarray(r.box, dtype="<f4").tobytes())
-                fh.write(struct.pack("<f", r.relevance))
-
-
-def _read_exact(fh, count: int) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise TruncatedError("feature file ended early")
-    return raw
+        fh.write(records.astype("<f4").tobytes())
 
 
 def read_features(
@@ -217,27 +204,29 @@ def read_features(
     with open(path, "rb") as fh:
         if fh.read(4) != FEATURE_MAGIC:
             raise MagicError(f"{path}: not a feature file")
-        version, count, n, d_f = struct.unpack("<IIII", _read_exact(fh, 16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise TruncatedError(f"{path}: feature file ended inside its header")
+        version, count, n, d_f = struct.unpack("<IIII", header)
         if version != FEATURE_VERSION:
             raise FormatError(f"{path}: unsupported feature version {version}")
+        if n == 0:  # every image would be empty, whatever count the header declares
+            raise DimensionError(f"{path}: header declares 0 regions per image")
         if expected_regions is not None and n != expected_regions:
             raise DimensionError(f"{path}: {n} regions per image, expected {expected_regions}")
         if expected_dim is not None and d_f != expected_dim:
             raise DimensionError(f"{path}: feature dim {d_f}, expected {expected_dim}")
-        out: list[VisualSequence] = []
-        rec = 4 * (d_f + 4 + 1)
-        for _ in range(count):
-            regions = []
-            for _ in range(n):
-                raw = _read_exact(fh, rec)
-                feats = np.frombuffer(raw[: 4 * d_f], dtype="<f4").astype(np.float64)
-                box = np.frombuffer(raw[4 * d_f : 4 * d_f + 16], dtype="<f4").astype(np.float64)
-                (rel,) = struct.unpack("<f", raw[-4:])
-                regions.append(ObjectRegion(features=feats, box=box, relevance=rel))
-            out.append(VisualSequence(regions))
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after declared payload")
-    return out
+        payload = fh.read()
+    declared = count * n * (d_f + 5) * 4
+    if len(payload) < declared:
+        raise TruncatedError(f"{path}: {len(payload)} payload bytes, header declares {declared}")
+    if len(payload) > declared:
+        raise FormatError(f"{path}: trailing bytes after declared payload")
+    records = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(count, n, d_f + 5)
+    try:
+        return [VisualSequence(r[:, :d_f], r[:, d_f:-1], r[:, -1]) for r in records]
+    except mm.InputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def resolve_feature_ref(ref: str, base_dir) -> tuple[Path, int]:
@@ -345,14 +334,10 @@ class SynthWorld:
             for _ in range(self.num_regions)
         ]
         relevances = np.linspace(1.0, 0.2, self.num_regions)
-        regions = [
-            ObjectRegion(
-                features=self.region_features(obj, rel, rng),
-                box=rng.random(4),
-                relevance=float(rel),
-            )
-            for obj, rel in zip(objects, relevances)
-        ]
+        features, boxes = [], []
+        for obj, rel in zip(objects, relevances):  # draws features, then box, per region
+            features.append(self.region_features(obj, rel, rng))
+            boxes.append(rng.random(4))
         main, second = objects[0], objects[1 % len(objects)]
         fills = dict(
             sh0=SHAPES[main.shape], c0=COLORS[main.color], s0=SIZES[main.size],
@@ -361,7 +346,7 @@ class SynthWorld:
         caption = CAPTION_TEMPLATES[int(rng.integers(len(CAPTION_TEMPLATES)))].format(**fills)
         order = rng.permutation(len(QUESTION_TEMPLATES))[:refs_per_item]
         questions = [QUESTION_TEMPLATES[i].format(**fills) for i in sorted(order)]
-        return caption, questions, VisualSequence(regions)
+        return caption, questions, VisualSequence(np.stack(features), np.stack(boxes), relevances)
 
 
 def _split_code(split: str) -> int:

@@ -28,14 +28,6 @@ from .multimodal import AssembledInput
 
 
 @dataclass
-class AttentionMask:
-    """Boolean allow-matrix over an input block followed by target rows."""
-
-    allow: np.ndarray
-    n_input: int
-
-
-@dataclass
 class GenerationConfig:
     max_length: int = 24
 
@@ -53,8 +45,9 @@ class GenerationOutput:
     truncated: bool = False
 
 
-def build_left_to_right_mask(n_input: int, n_target: int) -> AttentionMask:
-    """Input rows see only the input block; target row t sees input + targets <= t."""
+def build_left_to_right_mask(n_input: int, n_target: int) -> np.ndarray:
+    """Boolean (S, S) allow-matrix over an input block followed by target rows:
+    input rows see only the input block; target row t sees input + targets <= t."""
     if n_input < 1:
         raise ValueError("n_input must be >= 1")
     if n_target < 0:
@@ -63,7 +56,7 @@ def build_left_to_right_mask(n_input: int, n_target: int) -> AttentionMask:
     allow = np.zeros((s, s), dtype=bool)
     allow[:, :n_input] = True
     allow[n_input:, n_input:] = np.tri(n_target, dtype=bool)
-    return AttentionMask(allow=allow, n_input=n_input)
+    return allow
 
 
 def next_token(
@@ -95,7 +88,7 @@ def next_token(
         span = (0, 0) if past else input.visual_span  # a cache holds the region rows
         x = md.embed_rows(params, ids, np.arange(past, total)[None], input.regions[None], span)
         s_new = total - past
-        allow = build_left_to_right_mask(n_input, len(prefix) + 1).allow[past:]
+        allow = build_left_to_right_mask(n_input, len(prefix) + 1)[past:]
         states = md.encode_states(x, allow, params, cache=cache, keep=s_new - 1)
         mask_row = nm.reshape(nm.narrow(states[-1], 1, s_new - 1, 1), (1, x.shape[2]))
         logits = md.decode_logits(mask_row, params).data[0]

@@ -81,13 +81,12 @@ class MetricReport:
     meteor: float
     cider: float
     items: int
-    notes: str = DEFAULT_NOTES
 
     def to_text(self) -> str:
         lines = [f"items={self.items}"]
         for name in ("bleu_1", "bleu_2", "bleu_3", "bleu_4", "rouge_l", "meteor", "cider"):
             lines.append(f"{name}={getattr(self, name):.6f}")
-        lines.append(f"notes={self.notes}")
+        lines.append(f"notes={DEFAULT_NOTES}")
         return "\n".join(lines) + "\n"
 
 

@@ -409,12 +409,9 @@ def encode_states(
     return states
 
 
-def encode(embedded: Tensor, mask, params: Parameters) -> list[Tensor]:
-    """Encode one (S, d) sequence; returns the num_layers+1 per-layer outputs.
-
-    `mask` is an AttentionMask or a plain (S, S) boolean allow-matrix.
-    """
-    allow = np.asarray(getattr(mask, "allow", mask), dtype=bool)
+def encode(embedded: Tensor, allow: np.ndarray, params: Parameters) -> list[Tensor]:
+    """Encode one (S, d) sequence under an (S, S) boolean allow-matrix; returns
+    the num_layers+1 per-layer outputs."""
     s, d = embedded.shape
     if allow.shape != (s, s):
         raise nm.ShapeError(f"mask is {allow.shape}, expected ({s}, {s})")

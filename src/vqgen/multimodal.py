@@ -4,7 +4,7 @@ input layout that puts them beside caption tokens."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,45 +18,33 @@ class InputError(ValueError):
     """Arguments inconsistent with the requested input mode."""
 
 
-@dataclass
-class ObjectRegion:
-    """One detected region: feature vector, normalized box, detector score."""
+@dataclass(frozen=True)
+class VisualSequence:
+    """Exactly the N regions of one image, ordered by non-increasing relevance:
+    features (N, D_f), normalized boxes (N, 4) and detector scores (N,)."""
 
     features: np.ndarray
-    box: np.ndarray
-    relevance: float
+    boxes: np.ndarray
+    relevance: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.box = np.asarray(self.box, dtype=np.float64)
-        if self.features.ndim != 1:
-            raise InputError("region features must be a flat vector")
-        if self.box.shape != (4,):
-            raise InputError(f"box must have 4 coordinates, got {self.box.shape}")
-        if np.any(self.box < 0.0) or np.any(self.box > 1.0):
+        for name in ("features", "boxes", "relevance"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        n = len(self.features) if self.features.ndim == 2 else -1  # -1 matches no shape
+        if self.boxes.shape != (n, 4) or self.relevance.shape != (n,):
+            raise InputError(
+                f"features {self.features.shape}, boxes {self.boxes.shape} and relevance "
+                f"{self.relevance.shape} must be (N, D_f), (N, 4) and (N,)"
+            )
+        if not all(np.isfinite(a).all() for a in (self.features, self.boxes, self.relevance)):
+            raise InputError("region features, boxes and relevance must be finite")
+        if np.any(self.boxes < 0.0) or np.any(self.boxes > 1.0):
             raise InputError("box coordinates must be normalized to [0, 1]")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass
-class VisualSequence:
-    """Exactly the N regions of one image, ordered by non-increasing relevance."""
-
-    regions: list[ObjectRegion]
-
-    def __post_init__(self):
-        rel = [r.relevance for r in self.regions]
-        if any(rel[i] < rel[i + 1] for i in range(len(rel) - 1)):
+        if np.any(self.relevance[1:] > self.relevance[:-1]):
             raise InputError("regions must be ordered by non-increasing relevance")
 
     def __len__(self) -> int:
-        return len(self.regions)
-
-
-Slot = Union[int, np.ndarray]  # token id, or an object embedding vector
+        return len(self.features)
 
 
 @dataclass(frozen=True)
@@ -81,16 +69,11 @@ class AssembledInput:
         return np.arange(len(self.ids))
 
     @property
-    def slots(self) -> list[Slot]:
+    def slots(self) -> list:
         """The layout as one list: token ids as ints, region slots as vectors."""
         v0, v1 = self.visual_span
         ids = self.ids.tolist()
         return [*ids[:v0], *self.regions, *ids[v1:]]
-
-
-def object_embedding(region: ObjectRegion) -> np.ndarray:
-    """Concatenate the region's features and box into one vector."""
-    return np.concatenate([region.features, region.box])
 
 
 def assemble_input(
@@ -103,9 +86,9 @@ def assemble_input(
 ) -> AssembledInput:
     """Lay out [CLS] / visual slots / [SEP] / caption tokens for the given mode.
 
-    Visual slots carry raw object embeddings; projection into the model
-    dimension happens later, inside the embedding step, so that the projection
-    weights can be trained through it.
+    Visual slots carry raw object embeddings, each region's features then its
+    box; projection into the model dimension happens later, inside the
+    embedding step, so that the projection weights can be trained through it.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
@@ -116,13 +99,13 @@ def assemble_input(
     if needs_caption and caption is None:
         raise InputError(f"mode {mode} requires a caption")
     caption = [int(t) for t in caption] if needs_caption else []
-    regions = [object_embedding(r) for r in visual.regions] if needs_visual else []
+    regions = np.concatenate([visual.features, visual.boxes], axis=1) if needs_visual else []
     sep = [int(sep_id)] if mode == IMAGE_PLUS_CAPTION else []
     ids = [int(cls_id), *[0] * len(regions), *sep, *caption]
     v1 = 1 + len(regions)
     return AssembledInput(
         ids=np.array(ids, dtype=np.int64),
-        regions=np.array(regions, dtype=np.float64),
+        regions=np.asarray(regions, dtype=np.float64),
         visual_span=(1, v1) if needs_visual else (0, 0),
         text_span=(v1 + len(sep), len(ids)) if needs_caption else (0, 0),
     )

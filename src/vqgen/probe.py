@@ -80,9 +80,9 @@ def xsim_per_layer(
             (image_input, image_input.visual_span),
             (caption_input, caption_input.text_span),
         ):
-            mask = build_left_to_right_mask(len(inp), 0)
+            allow = build_left_to_right_mask(len(inp), 0)
             with nm.no_grad():
-                states = md.encode(md.embed_sequence(inp, params), mask, params)
+                states = md.encode(md.embed_sequence(inp, params), allow, params)
             nm.check_finite(states[-1], "encode")  # the one check no_grad leaves
             per_layer.append([s.data[lo:hi].mean(axis=0) for s in states[1:]])
         for layer in range(config.num_layers):

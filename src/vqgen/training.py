@@ -165,7 +165,7 @@ def teacher_forcing_mask(n_input: int, n_target: int) -> np.ndarray:
     """Allow-matrix over [input | y_1..y_T | m_1..m_T+1] rows (see module doc)."""
     s = n_input + n_target
     allow = np.zeros((s + n_target + 1, s + n_target + 1), dtype=bool)
-    allow[:s, :s] = gen.build_left_to_right_mask(n_input, n_target).allow
+    allow[:s, :s] = gen.build_left_to_right_mask(n_input, n_target)
     allow[s:, :n_input] = True  # m_t sees the input,
     allow[s:, n_input:s] = np.tri(n_target + 1, n_target, -1, dtype=bool)  # y_1..y_t-1
     allow[s:, s:] = np.eye(n_target + 1, dtype=bool)  # and itself
@@ -273,7 +273,7 @@ def _resolve_init(ref, expected_config: md.ModelConfig) -> md.Parameters:
 
 
 def initialize_stage(plan: StagePlan, config: md.ModelConfig) -> md.Parameters:
-    """Fresh weights plus per-stage copying and freezing."""
+    """Fresh weights plus per-stage copying and freezing, in the plan's dtype."""
     params = md.init_parameters(config, plan.seed)
     theta_names = [n for n in params.names() if n not in ("projection.weight", "projection.bias")]
     if plan.stage in (STAGE2, STAGE2_UNFREEZE, STAGE3):
@@ -288,6 +288,7 @@ def initialize_stage(plan: StagePlan, config: md.ModelConfig) -> md.Parameters:
         params.set_trainable(["projection.weight", "projection.bias"], value=False)
     elif plan.stage == STAGE2:
         params.set_trainable(theta_names, value=False)
+    params.astype(np.dtype(plan.dtype).type)
     return params
 
 
@@ -295,8 +296,6 @@ def run_stage(plan: StagePlan, corpus: dt.LoadedSplit, config: md.ModelConfig) -
     """Train one stage over the corpus; deterministic for a fixed seed."""
     mode = STAGE_MODES[plan.stage]
     params = initialize_stage(plan, config)
-    if plan.dtype == "float32":
-        params.astype(np.float32)
     special = corpus.vocab.special
     if len(corpus.vocab) != config.vocab_size:
         raise md.ConfigError(

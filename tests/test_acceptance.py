@@ -17,6 +17,7 @@ from tests_support import (
     oracle_meteor,
     oracle_rouge_l,
     random_metric_items,
+    stack_regions,
 )
 from vqgen import data as dt
 from vqgen import generation as gen
@@ -125,7 +126,7 @@ def test_criterion_01_mask_semantics():
     exhaustive_ok = True
     for n_input in range(1, 9):
         for n_target in range(0, 9):
-            allow = gen.build_left_to_right_mask(n_input, n_target).allow
+            allow = gen.build_left_to_right_mask(n_input, n_target)
             s = n_input + n_target
             for i in range(s):
                 for j in range(s):
@@ -232,11 +233,9 @@ def test_criterion_03_gradient_fidelity():
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
         params = md.init_parameters(config, seed)
-        regions = [
-            mm.ObjectRegion(rng.normal(size=5), rng.random(4), float(2 - k)) for k in range(2)
-        ]
+        visual = stack_regions((rng.normal(size=5), rng.random(4), float(2 - k)) for k in range(2))
         inp = mm.assemble_input(
-            mm.IMAGE_PLUS_CAPTION, visual=mm.VisualSequence(regions), caption=[7, 8],
+            mm.IMAGE_PLUS_CAPTION, visual=visual, caption=[7, 8],
             cls_id=SP.cls, sep_id=SP.sep,
         )
         mask = gen.build_left_to_right_mask(len(inp), 0)

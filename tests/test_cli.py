@@ -1,10 +1,12 @@
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vqgen import cli
@@ -63,6 +65,37 @@ def pipeline(tmp_path_factory):
                 "--ckpt", str(s1), "--ckpt", str(s3), "--include-random",
                 "--out", str(probe_file), "--seed", "5"]) == 0
     return root, data, cfg, s1, s2, s3, gen_file, report, probe_file
+
+
+def with_header_field(raw, index, value):
+    """Feature file bytes with header u32 `index` (version, count, N, D_f) set."""
+    header = list(struct.unpack("<IIII", raw[4:20]))
+    header[index] = value
+    return raw[:4] + struct.pack("<IIII", *header) + raw[20:]
+
+
+def with_payload_value(raw, index, value):
+    """Feature file bytes with payload f32 `index` set; with D_f=16 each region
+    holds 16 features, 4 box coordinates and its score, 21 values."""
+    payload = np.frombuffer(raw, dtype="<f4", offset=20).copy()
+    payload[index] = value
+    return raw[:20] + payload.tobytes()
+
+
+FEATURE_FAULTS = [
+    ("bad magic", lambda raw: b"VFEX" + raw[4:], "MagicError"),
+    ("bad version", lambda raw: with_header_field(raw, 0, 2), "FormatError"),
+    ("N off config", lambda raw: with_header_field(raw, 2, 4), "DimensionError"),
+    ("D_f off config", lambda raw: with_header_field(raw, 3, 15), "DimensionError"),
+    ("count 2^32-1", lambda raw: with_header_field(raw, 1, 2**32 - 1), "TruncatedError"),
+    ("one byte cut", lambda raw: raw[:-1], "TruncatedError"),
+    ("one byte added", lambda raw: raw + b"\0", "FormatError"),
+    ("NaN feature", lambda raw: with_payload_value(raw, 3, np.nan), "FormatError"),
+    ("NaN box", lambda raw: with_payload_value(raw, 21 + 17, np.nan), "FormatError"),
+    ("NaN score", lambda raw: with_payload_value(raw, 20, np.nan), "FormatError"),
+    ("box of 1.5", lambda raw: with_payload_value(raw, 16, 1.5), "FormatError"),
+    ("relevance out of order", lambda raw: with_payload_value(raw, 21 + 20, 2.0), "FormatError"),
+]
 
 
 class TestPipeline:
@@ -367,6 +400,26 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert f"{dup}:{len(lines) + 1}:" in err and repr(item_id) in err
         assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("corrupt, kind", [f[1:] for f in FEATURE_FAULTS],
+                             ids=[f[0] for f in FEATURE_FAULTS])
+    def test_corrupt_feature_file_exits_3(self, tmp_path, capsys, corrupt, kind):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "2", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        features = data / "val.features"
+        features.write_bytes(corrupt(features.read_bytes()))
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG)
+        capsys.readouterr()
+        code = run(["probe", "--data", str(data), "--split", "val", "--config", str(cfg),
+                    "--include-random", "--out", str(tmp_path / "probe.tsv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert f"kind={kind} " in err and str(features) in err
+        assert not (tmp_path / "probe.tsv").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from vqgen import data as dt
-from vqgen.multimodal import ObjectRegion, VisualSequence
+from tests_support import stack_regions
 
 
 def file_checksum(path):
@@ -73,14 +74,7 @@ def random_sequences(n_images=3, regions=4, dim=8, seed=0):
     out = []
     for _ in range(n_images):
         rel = np.sort(rng.random(regions))[::-1]
-        out.append(
-            VisualSequence(
-                [
-                    ObjectRegion(rng.normal(size=dim), rng.random(4), float(r))
-                    for r in rel
-                ]
-            )
-        )
+        out.append(stack_regions([(rng.normal(size=dim), rng.random(4), float(r)) for r in rel]))
     return out
 
 
@@ -92,9 +86,8 @@ class TestFeatureFiles:
         back = dt.read_features(path)
         assert len(back) == len(seqs)
         for a, b in zip(seqs, back):
-            for ra, rb in zip(a.regions, b.regions):
-                assert np.array_equal(ra.features.astype("<f4"), rb.features.astype("<f4"))
-                assert np.array_equal(ra.box.astype("<f4"), rb.box.astype("<f4"))
+            assert np.array_equal(a.features.astype("<f4"), b.features.astype("<f4"))
+            assert np.array_equal(a.boxes.astype("<f4"), b.boxes.astype("<f4"))
         # write back and compare bytes
         path2 = tmp_path / "y.features"
         dt.write_features(path2, back)
@@ -112,6 +105,14 @@ class TestFeatureFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
         with pytest.raises(dt.TruncatedError):
+            dt.read_features(path)
+
+    @pytest.mark.parametrize("n, error", [(1, dt.TruncatedError), (0, dt.DimensionError)])
+    def test_header_declaring_too_many_images(self, tmp_path, n, error):
+        # rejected from the header and the file's length, before any allocation
+        path = tmp_path / "x.features"
+        path.write_bytes(dt.FEATURE_MAGIC + struct.pack("<IIII", 1, 2**32 - 1, n, 8) + b"\0" * 52)
+        with pytest.raises(error):
             dt.read_features(path)
 
     def test_dimension_mismatch(self, tmp_path):
@@ -206,21 +207,19 @@ class TestSynthDataset:
         split = dt.load_split(tmp_path, "train", expected_dim=32)
         for item in split.items:
             visual = split.visual(item)
-            main = visual.regions[0]
-            shape = dt.SHAPES[int(np.argmax(main.features[: len(dt.SHAPES)]))]
+            main = visual.features[0]
+            shape = dt.SHAPES[int(np.argmax(main[: len(dt.SHAPES)]))]
             joined = " ".join(item.questions)
             assert shape in joined or dt.COLORS[
-                int(np.argmax(main.features[len(dt.SHAPES) : len(dt.SHAPES) + len(dt.COLORS)]))
+                int(np.argmax(main[len(dt.SHAPES) : len(dt.SHAPES) + len(dt.COLORS)]))
             ] in joined
 
     def test_attributes_linearly_decodable(self, tmp_path):
         # least-squares probe from region features back to attribute one-hots
         dt.synth_dataset(tmp_path, seed=5, n_train=40, n_val=1, n_test=1)
         seqs = dt.read_features(tmp_path / "train.features")
-        feats = np.stack([r.features for s in seqs for r in s.regions])
-        labels = np.array(
-            [int(np.argmax(r.features[: len(dt.SHAPES)])) for s in seqs for r in s.regions]
-        )
+        feats = np.concatenate([s.features for s in seqs])
+        labels = np.argmax(feats[:, : len(dt.SHAPES)], axis=1)
         onehot = np.eye(len(dt.SHAPES))[labels]
         w, *_ = np.linalg.lstsq(feats, onehot, rcond=None)
         pred = np.argmax(feats @ w, axis=1)

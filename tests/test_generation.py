@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tests_support import stack_regions
 from vqgen import generation as gen
 from vqgen import model as md
 from vqgen import multimodal as mm
@@ -34,16 +35,15 @@ class TestMask:
         expected = np.array(
             [[1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool
         )
-        assert np.array_equal(m.allow, expected)
-        assert m.n_input == 2
+        assert np.array_equal(m, expected)
 
     def test_no_targets_full_input_block(self):
         m = gen.build_left_to_right_mask(3, 0)
-        assert np.array_equal(m.allow, np.ones((3, 3), dtype=bool))
+        assert np.array_equal(m, np.ones((3, 3), dtype=bool))
 
     def test_single_input_lower_triangular(self):
         m = gen.build_left_to_right_mask(1, 3)
-        assert np.array_equal(m.allow, np.tril(np.ones((4, 4), dtype=bool)))
+        assert np.array_equal(m, np.tril(np.ones((4, 4), dtype=bool)))
 
     def test_closed_form_rule_exhaustive(self):
         for n_input in range(1, 9):
@@ -56,7 +56,7 @@ class TestMask:
                             expected = j < n_input
                         else:
                             expected = j < n_input or (n_input <= j <= i)
-                        assert m.allow[i, j] == expected, (n_input, n_target, i, j)
+                        assert m[i, j] == expected, (n_input, n_target, i, j)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
@@ -163,10 +163,9 @@ class TestGenerate:
 
 def random_visual(cfg, rng):
     relevance = sorted(rng.random(cfg.num_regions), reverse=True)
-    return mm.VisualSequence([
-        mm.ObjectRegion(rng.normal(size=cfg.feature_dim), rng.uniform(0, 1, size=4), float(r))
-        for r in relevance
-    ])
+    return stack_regions(
+        (rng.normal(size=cfg.feature_dim), rng.uniform(0, 1, size=4), float(r)) for r in relevance
+    )
 
 
 def random_input(cfg, mode, rng):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tests_support import stack_regions
 from vqgen import generation as gen
 from vqgen import model as md
 from vqgen import multimodal as mm
@@ -27,15 +28,10 @@ def tiny_config(**overrides):
 
 def make_visual(config, seed=0):
     rng = np.random.default_rng(seed)
-    regions = [
-        mm.ObjectRegion(
-            features=rng.normal(size=config.feature_dim),
-            box=rng.random(4),
-            relevance=float(config.num_regions - i),
-        )
+    return stack_regions(
+        (rng.normal(size=config.feature_dim), rng.random(4), float(config.num_regions - i))
         for i in range(config.num_regions)
-    ]
-    return mm.VisualSequence(regions)
+    )
 
 
 SP = md.SpecialTokens()
@@ -128,8 +124,8 @@ class TestEmbed:
         cfg = tiny_config()
         params = md.init_parameters(cfg, 3)
         params["projection.bias"].value.data[...] = 0.0
-        zero_region = mm.ObjectRegion(np.zeros(cfg.feature_dim), np.zeros(4), 1.0)
-        visual = mm.VisualSequence([zero_region] * cfg.num_regions)
+        n = cfg.num_regions
+        visual = mm.VisualSequence(np.zeros((n, cfg.feature_dim)), np.zeros((n, 4)), np.ones(n))
         inp = mm.assemble_input(mm.IMAGE_ONLY, visual=visual, cls_id=SP.cls, sep_id=SP.sep)
         out = md.embed_sequence(inp, params)
         pos = params["embeddings.position"].value.data

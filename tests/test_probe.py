@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tests_support import stack_regions
 from vqgen import model as md
 from vqgen import multimodal as mm
 from vqgen import probe as pb
@@ -17,13 +18,12 @@ def make_pairs(config, n_pairs=4, seed=0):
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(n_pairs):
-        regions = [
-            mm.ObjectRegion(rng.normal(size=config.feature_dim), rng.random(4),
-                            float(config.num_regions - j))
+        visual = stack_regions(
+            (rng.normal(size=config.feature_dim), rng.random(4), float(config.num_regions - j))
             for j in range(config.num_regions)
-        ]
+        )
         caption = list(rng.integers(6, config.vocab_size, size=4))
-        pairs.append((mm.VisualSequence(regions), caption))
+        pairs.append((visual, caption))
     return pairs
 
 
@@ -73,7 +73,8 @@ class TestXsim:
         config = probe_config()
         params = md.init_parameters(config, 1)
         pairs = make_pairs(config)
-        pairs[0] = (mm.VisualSequence([]), pairs[0][1])
+        empty = mm.VisualSequence(np.zeros((0, config.feature_dim)), np.zeros((0, 4)), [])
+        pairs[0] = (empty, pairs[0][1])
         with pytest.raises(pb.ProbeError, match="pair 0"):
             pb.xsim_per_layer(params, pairs)
 
@@ -91,11 +92,10 @@ class TestXsim:
         pairs = []
         for _ in range(3):
             caption = [int(t) for t in rng.integers(6, config.vocab_size, size=4)]
-            regions = [
-                mm.ObjectRegion(np.eye(config.vocab_size)[t], np.zeros(4), float(4 - j))
-                for j, t in enumerate(caption)
-            ]
-            pairs.append((mm.VisualSequence(regions), caption))
+            visual = mm.VisualSequence(
+                np.eye(config.vocab_size)[caption], np.zeros((4, 4)), [4.0, 3.0, 2.0, 1.0]
+            )
+            pairs.append((visual, caption))
         report = pb.xsim_per_layer(params, pairs)
         assert np.allclose(report.xsim, 1.0, atol=1e-12)
 

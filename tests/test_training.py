@@ -326,6 +326,24 @@ class TestRunStage:
         assert stage2.params.checksum(theta_names) == before_theta
         assert stage2.params.checksum(["projection.weight", "projection.bias"]) != before_w
 
+    def test_float32_stage2_initializes_in_float32(self, small_world):
+        _, split, config = small_world
+        stage1 = tr.run_stage(
+            tr.StagePlan(stage=tr.STAGE1, epochs=1, batch_size=8, seed=1, max_steps=2,
+                         dtype="float32"),
+            split, config,
+        )
+        theta_names = [n for n in stage1.params.names()
+                       if n not in ("projection.weight", "projection.bias")]
+        plan2 = tr.StagePlan(stage=tr.STAGE2, epochs=1, batch_size=8, seed=1,
+                             init_stage1=stage1.params, max_steps=2, dtype="float32")
+        params2 = tr.initialize_stage(plan2, config)
+        assert params2.dtype == np.float32
+        before_theta = params2.checksum(theta_names)
+        stage2 = tr.run_stage(plan2, split, config)
+        assert stage2.params.dtype == np.float32
+        assert stage2.params.checksum(theta_names) == before_theta
+
     def test_stage2_unfreeze_moves_backbone(self, small_world):
         _, split, config = small_world
         stage1 = tr.run_stage(

@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from vqgen import multimodal as mm
+
 
 def finite_difference_subset(fn, param, n_checks=8, seed=0, h=1e-5):
     """Worst relative error between param.gradient and central differences.
@@ -32,6 +34,13 @@ def finite_difference_subset(fn, param, n_checks=8, seed=0, h=1e-5):
         err = abs(gflat[i] - fd) / max(1.0, abs(fd))
         worst = max(worst, err)
     return worst
+
+
+def stack_regions(regions):
+    """A VisualSequence from (features, box, relevance) triples, one per region,
+    so that a test can draw each region's values in turn."""
+    features, boxes, relevance = zip(*regions)
+    return mm.VisualSequence(np.stack(features), np.stack(boxes), relevance)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,7 @@ def oracle_cider(items, max_order=4):
             def vec(tokens):
                 grams = _gram_list(tokens, k)
                 out = {}
-                for g in set(grams):
+                for g in dict.fromkeys(grams):
                     out[g] = grams.count(g) * weight(g)
                 return out
 
