@@ -1,19 +1,25 @@
 """Staged training: caption-only, image-only over a frozen backbone, then
 joint fine-tuning, plus the unfreeze and from-scratch ablations.
 
-Teacher forcing runs in a single forward pass per example. The sequence is
+Teacher forcing runs in a single forward pass per item. A question's rows are
 laid out as [input block | target rows y_1..y_T | prediction rows m_1..m_T+1]
 where prediction row m_t holds the mask token at the same position id as y_t
 and attends exactly what the generation loop's appended mask slot attends:
 the input, the strictly-prior targets, and itself. Its logits are therefore
 bit-equal to those of a step-by-step decode on the same prefix.
+
+An item's questions share one input block: a batch row holds
+[input | y^1, m^1 | y^2, m^2 | ...], one (y, m) block per question. Input rows
+attend only to the input block, so their states do not depend on the
+question; each question's rows see the input and their own block as above,
+and no row of one question sees a row of another.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -135,7 +141,8 @@ class StageResult:
 
 
 def build_examples(corpus: dt.LoadedSplit, mode: str) -> list[TrainingExample]:
-    """One example per (item, ground-truth question) pair."""
+    """One example per (item, ground-truth question) pair. An item's examples
+    share one input object, which `_embed_batch` lays out once."""
     out: list[TrainingExample] = []
     for item in corpus.items:
         inp = corpus.assemble(item, mode)
@@ -145,14 +152,16 @@ def build_examples(corpus: dt.LoadedSplit, mode: str) -> list[TrainingExample]:
 
 
 def make_batches(corpus: dt.LoadedSplit, mode: str, batch_size: int, seed) -> list[Batch]:
-    """Deterministically shuffled batches over the expanded example list."""
+    """Deterministically shuffled batches of `batch_size` examples. The items
+    are shuffled, each item's examples stay together in question order, and
+    the list is cut every `batch_size` examples, so an item may straddle two
+    batches."""
     if not corpus.items:
         raise dt.FormatError("empty corpus")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    examples = build_examples(corpus, mode)
-    order = np.random.default_rng(seed).permutation(len(examples))
-    shuffled = [examples[i] for i in order]
+    order = np.random.default_rng(seed).permutation(len(corpus.items))
+    shuffled = build_examples(replace(corpus, items=[corpus.items[i] for i in order]), mode)
     return [Batch(shuffled[i : i + batch_size]) for i in range(0, len(shuffled), batch_size)]
 
 
@@ -187,31 +196,49 @@ def sequence_log_prob(params: md.Parameters, example: TrainingExample) -> float:
 def _embed_batch(
     params: md.Parameters, batch: Batch, special: md.SpecialTokens
 ) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
-    """Teacher-forcing rows of a batch, built example by example and padded
-    once to the longest: the (B, R, d) embedding, the (B, R, R) allow mask,
-    the flat indices of the prediction rows and the labels they predict.
+    """Teacher-forcing rows of a batch, one row block per run of consecutive
+    examples that share an input (see module doc), padded once to the
+    longest: the (G, R, d) embedding, the (G, R, R) allow mask, the flat
+    indices of the prediction rows and the labels they predict, both in
+    example order.
 
-    Region slots occupy the same rows in every example of an image-mode batch
+    Region slots occupy the same rows in every block of an image-mode batch
     (the assembled layout is uniform), so one projection covers them.
     """
     if not batch.examples:
         raise ValueError("empty batch")
-    blocks = [teacher_forcing_mask(len(ex.input), len(ex.target)) for ex in batch.examples]
-    r_max = max(len(block) for block in blocks)
-    ids = np.full((len(blocks), r_max), special.pad, dtype=np.int64)
-    positions = np.zeros((len(blocks), r_max), dtype=np.int64)
-    allow = np.zeros((len(blocks), r_max, r_max), dtype=bool)
+    groups: list[list[TrainingExample]] = []
+    for ex in batch.examples:
+        if groups and groups[-1][0].input is ex.input:
+            groups[-1].append(ex)
+        else:
+            groups.append([ex])
+    r_max = max(len(g[0].input) + sum(2 * len(ex.target) + 1 for ex in g) for g in groups)
+    ids = np.full((len(groups), r_max), special.pad, dtype=np.int64)
+    positions = np.zeros((len(groups), r_max), dtype=np.int64)
+    allow = np.zeros((len(groups), r_max, r_max), dtype=bool)
     allow[:, :, 0] = True  # real rows see slot 0 anyway; pad rows need one key
     regions, layouts, pred_rows, labels = [], set(), [], []
-    for b, (ex, block) in enumerate(zip(batch.examples, blocks)):
-        n, t, r = len(ex.input), len(ex.target), len(block)
-        ids[b, :r] = [*ex.input.ids, *ex.target] + [special.mask] * (t + 1)
-        positions[b, :r] = [*range(n + t), *range(n, n + t + 1)]
-        allow[b, :r, :r] = block
-        pred_rows.extend(range(b * r_max + r - t - 1, b * r_max + r))
-        labels += [*ex.target, special.eos]
-        regions.append(ex.input.regions)
-        layouts.add((ex.input.visual_span, ex.input.regions.shape))
+    for b, group in enumerate(groups):
+        inp = group[0].input
+        n = len(inp)
+        ids[b, :n] = inp.ids
+        positions[b, :n] = inp.positions
+        allow[b, :n, :n] = True
+        r = n
+        for ex in group:
+            t = len(ex.target)
+            block = teacher_forcing_mask(n, t)[n:]
+            rows = slice(r, r + 2 * t + 1)
+            ids[b, rows] = [*ex.target] + [special.mask] * (t + 1)
+            positions[b, rows] = [*range(n, n + t), *range(n, n + t + 1)]
+            allow[b, rows, :n] = block[:, :n]
+            allow[b, rows, rows] = block[:, n:]
+            pred_rows.extend(range(b * r_max + r + t, b * r_max + rows.stop))
+            labels += [*ex.target, special.eos]
+            r = rows.stop
+        regions.append(inp.regions)
+        layouts.add((inp.visual_span, inp.regions.shape))
     if len(layouts) > 1:
         raise nm.ShapeError("mixed input layouts or region dims inside one batch")
     visual_span = batch.examples[0].input.visual_span

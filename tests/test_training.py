@@ -29,6 +29,18 @@ def small_world(tmp_path_factory):
     return root, split, config
 
 
+def with_question_counts(split, counts):
+    """The split's first len(counts) items, item k holding counts[k] questions
+    drawn in turn from every question of the split."""
+    pool = [q for item in split.items for q in item.questions]
+    items, used = [], 0
+    for item, count in zip(split.items, counts):
+        items.append(dataclasses.replace(item, questions=pool[used : used + count]))
+        used += count
+    assert used <= len(pool)
+    return dataclasses.replace(split, items=items)
+
+
 class TestBatches:
     def test_expansion_arithmetic(self, small_world):
         _, split, _ = small_world
@@ -59,6 +71,44 @@ class TestBatches:
         empty = dt.LoadedSplit(items=[], vocab=split.vocab, features=split.features)
         with pytest.raises(dt.FormatError):
             tr.make_batches(empty, mm.CAPTION_ONLY, 4, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4, 5, 7, 16, 23, 24, 40])
+    def test_batches_deal_whole_items_in_order(self, small_world, batch_size):
+        _, split, _ = small_world
+        corpus = with_question_counts(split, [3, 5, 1, 4, 3, 5, 2, 1])
+        n_examples = sum(len(item.questions) for item in corpus.items)
+        batches = tr.make_batches(corpus, mm.IMAGE_PLUS_CAPTION, batch_size, seed=[5, 1000])
+        assert len(batches) == math.ceil(n_examples / batch_size)
+        assert all(len(b) == batch_size for b in batches[:-1])
+        assert 1 <= len(batches[-1]) <= batch_size
+        flat = [ex for b in batches for ex in b.examples]
+        runs = []  # consecutive examples sharing one input object
+        for k, ex in enumerate(flat):
+            if k == 0 or ex.input is not flat[k - 1].input:
+                runs.append((ex.input, []))
+            runs[-1][1].append(tuple(ex.target))
+        # every item exactly once, its questions contiguous and in corpus order
+        key = lambda inp, targets: (inp.ids.tobytes(), inp.regions.tobytes(), tuple(targets))
+        got = sorted(key(inp, targets) for inp, targets in runs)
+        want = sorted(
+            key(corpus.assemble(item, mm.IMAGE_PLUS_CAPTION),
+                [tuple(dt.encode_text(q, corpus.vocab)) for q in item.questions])
+            for item in corpus.items
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, [3, 1000], [3, 1001]])
+    def test_one_question_per_item_matches_per_example_shuffle(self, small_world, seed):
+        _, split, _ = small_world
+        corpus = with_question_counts(split, [1] * len(split.items))
+        examples = tr.build_examples(corpus, mm.IMAGE_ONLY)
+        order = np.random.default_rng(seed).permutation(len(examples))
+        want = [examples[i] for i in order]
+        batches = tr.make_batches(corpus, mm.IMAGE_ONLY, 3, seed)
+        got = [ex for b in batches for ex in b.examples]
+        assert [len(b) for b in batches] == [3, 3, 2]
+        assert [ex.target for ex in got] == [ex.target for ex in want]
+        assert all(np.array_equal(a.input.regions, b.input.regions) for a, b in zip(got, want))
 
 
 class TestTeacherForcingMask:
@@ -195,25 +245,41 @@ def examples_of_different_lengths(split, mode, n=3):
     return picked[:n]
 
 
+def packed_layout(examples):
+    """Where each example's rows sit in a packed batch: (block, first row of
+    its own y/m rows). A block starts at every example whose input object
+    differs from the one before it."""
+    out, block, row = [], -1, 0
+    for k, ex in enumerate(examples):
+        if k == 0 or ex.input is not examples[k - 1].input:
+            block, row = block + 1, len(ex.input)
+        out.append((block, row))
+        row += 2 * len(ex.target) + 1
+    return out
+
+
 class TestEmbedBatch:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("use_type", [False, True])
     @pytest.mark.parametrize("mode", mm.MODES)
     def test_rows_equal_single_example_embed(self, small_world, mode, use_type, dtype):
+        # 3 + 3 + 1 questions: two whole items and one question of a third
         _, split, config = small_world
         cfg = md.ModelConfig(**{**config.to_dict(), "use_type_embeddings": use_type})
         params = md.init_parameters(cfg, 4)
         params.astype(dtype)
-        examples = examples_of_different_lengths(split, mode)
-        rows = [len(ex.input) + 2 * len(ex.target) + 1 for ex in examples]
+        examples = tr.build_examples(split, mode)[:7]
+        layout = packed_layout(examples)
         batched = tr._embed_batch(params, tr.Batch(examples), SP)[0].data
-        for b, ex in enumerate(examples):
+        assert batched.shape[0] == 3
+        for ex, (b, start) in zip(examples, layout):
             extra = list(ex.target) + [SP.mask] * (len(ex.target) + 1)
             n = len(ex.input)
             positions = list(range(n, n + len(ex.target))) + list(range(n, n + len(ex.target) + 1))
             solo = md.embed_extended(ex.input, extra, positions, params).data
             assert solo.dtype == dtype
-            assert np.array_equal(batched[b, : rows[b]], solo)
+            assert np.array_equal(batched[b, :n], solo[:n])
+            assert np.array_equal(batched[b, start : start + len(extra)], solo[n:])
 
     def test_teacher_forced_logits_match_padded_batch(self, small_world):
         _, split, config = small_world
@@ -243,6 +309,29 @@ class TestEmbedBatch:
         examples[1] = tr.TrainingExample(input=short, target=examples[1].target)
         with pytest.raises(nm.ShapeError):
             tr.stage_loss(params, tr.Batch(examples))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", mm.MODES)
+    def test_packed_logits_equal_single_example(self, small_world, mode, dtype):
+        # items of 3, 5, 5 and 3 questions cut after 11 examples: the first
+        # batch holds a 3- and a 5-question item whole, and the third item
+        # straddles the cut; f32 sums the padded keys in another order
+        _, split, config = small_world
+        tol = {np.float64: 1e-10, np.float32: 1e-5}[dtype]
+        params = md.init_parameters(config, 6)
+        params.astype(dtype)
+        examples = tr.build_examples(with_question_counts(split, [3, 5, 5, 3]), mode)
+        assert examples[10].input is examples[11].input
+        for batch in (tr.Batch(examples[:11]), tr.Batch(examples[11:])):
+            logits, labels = tr._batch_logits(params, batch, SP)
+            assert logits.data.dtype == dtype
+            start = 0
+            for ex in batch.examples:
+                solo = tr.teacher_forced_logits(params, ex).data
+                assert np.max(np.abs(logits.data[start : start + len(solo)] - solo)) < tol
+                assert list(labels[start : start + len(solo)]) == list(ex.target) + [SP.eos]
+                start += len(solo)
+            assert start == len(logits.data)
 
 
 class TestFrozenBackward:
