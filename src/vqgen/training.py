@@ -17,6 +17,7 @@ and no row of one question sees a row of another.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -207,12 +208,7 @@ def _embed_batch(
     """
     if not batch.examples:
         raise ValueError("empty batch")
-    groups: list[list[TrainingExample]] = []
-    for ex in batch.examples:
-        if groups and groups[-1][0].input is ex.input:
-            groups[-1].append(ex)
-        else:
-            groups.append([ex])
+    groups = [list(g) for _, g in itertools.groupby(batch.examples, key=lambda ex: id(ex.input))]
     r_max = max(len(g[0].input) + sum(2 * len(ex.target) + 1 for ex in g) for g in groups)
     ids = np.full((len(groups), r_max), special.pad, dtype=np.int64)
     positions = np.zeros((len(groups), r_max), dtype=np.int64)
