@@ -258,6 +258,21 @@ def packed_layout(examples):
     return out
 
 
+def assert_logits_equal_singles(params, batch, tol):
+    """The batch's logits, example by example, are each example's
+    teacher_forced_logits alone within tol, and its labels are the targets
+    followed by EOS."""
+    logits, labels = tr._batch_logits(params, batch, SP, dropout=0.0, rng=None)
+    assert logits.data.dtype == params.dtype
+    start = 0
+    for ex in batch.examples:
+        solo = tr.teacher_forced_logits(params, ex).data
+        assert np.max(np.abs(logits.data[start : start + len(solo)] - solo)) < tol
+        assert list(labels[start : start + len(solo)]) == list(ex.target) + [SP.eos]
+        start += len(solo)
+    assert start == len(logits.data)
+
+
 class TestEmbedBatch:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("use_type", [False, True])
@@ -285,14 +300,7 @@ class TestEmbedBatch:
         _, split, config = small_world
         params = md.init_parameters(config, 6)
         examples = examples_of_different_lengths(split, mm.IMAGE_PLUS_CAPTION)
-        logits, labels = tr._batch_logits(params, tr.Batch(examples), SP, dropout=0.0, rng=None)
-        start = 0
-        for ex in examples:
-            solo = tr.teacher_forced_logits(params, ex).data
-            assert np.max(np.abs(logits.data[start : start + len(solo)] - solo)) < 1e-10
-            assert list(labels[start : start + len(solo)]) == list(ex.target) + [SP.eos]
-            start += len(solo)
-        assert start == len(logits.data)
+        assert_logits_equal_singles(params, tr.Batch(examples), 1e-10)
 
     def test_wrong_object_dim_raises_shape_error(self, small_world):
         _, split, config = small_world
@@ -323,15 +331,7 @@ class TestEmbedBatch:
         examples = tr.build_examples(with_question_counts(split, [3, 5, 5, 3]), mode)
         assert examples[10].input is examples[11].input
         for batch in (tr.Batch(examples[:11]), tr.Batch(examples[11:])):
-            logits, labels = tr._batch_logits(params, batch, SP)
-            assert logits.data.dtype == dtype
-            start = 0
-            for ex in batch.examples:
-                solo = tr.teacher_forced_logits(params, ex).data
-                assert np.max(np.abs(logits.data[start : start + len(solo)] - solo)) < tol
-                assert list(labels[start : start + len(solo)]) == list(ex.target) + [SP.eos]
-                start += len(solo)
-            assert start == len(logits.data)
+            assert_logits_equal_singles(params, batch, tol)
 
 
 class TestFrozenBackward:

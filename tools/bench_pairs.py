@@ -6,11 +6,13 @@ write the comparison to BENCH_<workload>.json at the repository root.
 The base commit is extracted with `git archive` into bench_out/base-<sha>/
 (git-ignored; reused if it is already there). Pair k runs each tree's own
 `bench/run.py --workload W --seed k --trace 0` for k = 1..N, the base first
-in odd pairs and this tree first in even pairs. The run length defaults to
+in odd pairs and this tree first in even pairs. The run length is
 `run_seconds` in this tree's BENCHMARK.json, and the end-to-end metrics, their
 directions and their bounds come from the same file.
 
-For each end-to-end metric the file holds every pair's values, the median
+The file names the tracked files that differ from HEAD when the runs start
+(`change_edited_files`), so a run on an edited tree says which edits it
+measured. For each end-to-end metric it holds every pair's values, the median
 and [Q1, Q3] on each side, the pairs the change won (ties count for neither),
 whether the change's median stays within its bound of the base's, and whether
 a gain is shown: won in at least nine pairs of ten, and the medians differ by
@@ -114,7 +116,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the commit to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -122,10 +123,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     trees = {"base": extract(base_sha), "change": ROOT}
-    uncommitted = bool(git("status", "--porcelain", "--untracked-files=no"))
+    edited = git("diff", "HEAD", "--name-only").splitlines()
     names = [m["name"] for m in spec["end_to_end"]]
 
     pairs, failures, infos = [], [], []
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "base": base_sha,
         "change": git("rev-parse", "HEAD"),
-        "change_uncommitted_edits": uncommitted,
+        "change_edited_files": edited,
         "seconds": seconds,
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         **{key: vals[0] if len(vals) == 1 else vals for key, vals in env.items()},
