@@ -82,6 +82,8 @@ def _read_config(path, fixed: dict, source: str) -> tuple[md.ModelConfig, dict]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _MODEL_FIELDS and key not in _PLAN_FIELDS:
             raise dt.FormatError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise dt.FormatError(f"{path}:{lineno}: config key {key!r} is set twice")
         values[key] = value
     model_values = {key: raw for key, raw in values.items() if key in _MODEL_FIELDS}
     config = md.ModelConfig.from_dict({**fixed, **model_values})
@@ -207,7 +209,7 @@ def _cmd_generate(args, argv) -> int:
     truncated = 0
     for item in split.items:
         inp = split.assemble(item, mode)
-        room = config.max_positions - len(inp) - 1
+        room = config.max_positions - len(inp)  # the last step's mask takes the last slot
         if room < 1:
             raise md.ConfigError(f"item {item.id}: no room to generate within max_positions")
         out = gen.generate(params, inp, gen.GenerationConfig(max_length=min(args.max_length, room)))

@@ -11,9 +11,11 @@ It returns None for every other operand -- a frozen weight, a constant input,
 an attention mask -- instead of computing a gradient nothing reads. The graph
 keeps its shape either way.
 
-Inside ``no_grad()`` the operations record nothing and skip their per-op
-finiteness check; a forward-only caller checks its final output once with
-``check_finite`` instead.
+Every operation ends in ``_record``, the one place where an op's result
+becomes a graph node. Inside ``no_grad()`` it records nothing and skips the
+finiteness check that ``affine``, ``softmax_rows``, ``layer_norm``, ``gelu`` and
+``cross_entropy`` ask for; a forward-only caller checks its final output once
+with ``check_finite`` instead.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Forward-only mode: operations build no parents or vjp closures and skip
-    their per-op finiteness check. Nests, and restores the mode on exit."""
+    """Forward-only mode: ``_record`` keeps no parents or vjp and skips the
+    per-op finiteness check. Nests, and restores the mode on exit."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -148,6 +150,16 @@ def no_grad():
 def check_finite(x, what: str) -> None:
     """Raise NumericError if a tensor or array holds a NaN or an infinity."""
     _check_finite(x.data if isinstance(x, Tensor) else np.asarray(x), what)
+
+
+def _record(out, parents: tuple, vjp: Callable, check: Optional[str] = None) -> Tensor:
+    """An op's result: a bare tensor under ``no_grad()``; otherwise, once `out`
+    passes the finiteness check of an op that names one, a node over `parents`."""
+    if not _grad_enabled:
+        return Tensor(out)
+    if check is not None:
+        _check_finite(out, check)
+    return Tensor(out, parents, vjp)
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -174,29 +186,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_pair(a, b)
     out = a.data + b.data
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         ga = _unbroadcast(g, a.shape) if _needs_grad(a) else None
         gb = _unbroadcast(g, b.shape) if _needs_grad(b) else None
         return ga, gb
 
-    return Tensor(out, (a, b), vjp)
+    return _record(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_pair(a, b)
     out = a.data * b.data
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         ga = _unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None
         gb = _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None
         return ga, gb
 
-    return Tensor(out, (a, b), vjp)
+    return _record(out, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -206,15 +214,13 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if _needs_grad(a) else None
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if _needs_grad(b) else None
         return ga, gb
 
-    return Tensor(out, (a, b), vjp)
+    return _record(out, (a, b), vjp)
 
 
 def affine(x, w, b) -> Tensor:
@@ -239,9 +245,6 @@ def affine(x, w, b) -> Tensor:
     else:
         flat = flat + b.data
     out = flat.reshape(x.shape[:-1] + (n,))
-    if not _grad_enabled:
-        return Tensor(out)
-    _check_finite(out, "affine")
 
     def vjp(g):
         g_rows = g.reshape(-1, n)
@@ -250,55 +253,46 @@ def affine(x, w, b) -> Tensor:
         gb = g_rows.sum(axis=0) if _needs_grad(b) else None
         return gx, gw, gb
 
-    return Tensor(out, (x, w, b), vjp)
+    return _record(out, (x, w, b), vjp, "affine")
 
 
 def transpose(a) -> Tensor:
     """Swap the last two axes."""
     a = _as_tensor(a)
     out = np.swapaxes(a.data, -1, -2)
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return (np.swapaxes(g, -1, -2),)
 
-    return Tensor(out, (a,), vjp)
+    return _record(out, (a,), vjp)
 
 
 def swapaxes(a, i: int, j: int) -> Tensor:
     a = _as_tensor(a)
     out = np.swapaxes(a.data, i, j)
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return (np.swapaxes(g, i, j),)
 
-    return Tensor(out, (a,), vjp)
+    return _record(out, (a,), vjp)
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(tuple(shape))
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return (g.reshape(a.shape),)
 
-    return Tensor(out, (a,), vjp)
+    return _record(out, (a,), vjp)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    if not _grad_enabled:
-        return Tensor(out)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
+        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
         grads = []
         for k in range(len(parts)):
             index = [slice(None)] * g.ndim
@@ -306,7 +300,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
             grads.append(g[tuple(index)])
         return tuple(grads)
 
-    return Tensor(out, tuple(parts), vjp)
+    return _record(out, tuple(parts), vjp)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -318,15 +312,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     out = a.data[index]
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         ga = np.zeros_like(a.data)
         ga[index] = g
         return (ga,)
 
-    return Tensor(out, (a,), vjp)
+    return _record(out, (a,), vjp)
 
 
 def take_rows(table, ids) -> Tensor:
@@ -338,8 +330,6 @@ def take_rows(table, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"row index out of range for table with {table.shape[0]} rows")
     out = table.data[idx]
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         if not _needs_grad(table):
@@ -348,7 +338,7 @@ def take_rows(table, ids) -> Tensor:
         np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.shape[1]))
         return (gt,)
 
-    return Tensor(out, (table,), vjp)
+    return _record(out, (table,), vjp)
 
 
 def softmax_rows(x) -> Tensor:
@@ -357,15 +347,12 @@ def softmax_rows(x) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-    if not _grad_enabled:
-        return Tensor(out)
-    _check_finite(out, "softmax_rows")
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
-    return Tensor(out, (x,), vjp)
+    return _record(out, (x,), vjp, "softmax_rows")
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -380,9 +367,6 @@ def layer_norm(x, gain, bias) -> Tensor:
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed = centered * inv
     out = normed * gain.data + bias.data
-    if not _grad_enabled:
-        return Tensor(out)
-    _check_finite(out, "layer_norm")
 
     def vjp(g):
         # gx = gn * inv + gvar * 2.0 * centered / d + gmean / d with gn = g * gain,
@@ -406,7 +390,7 @@ def layer_norm(x, gain, bias) -> Tensor:
             gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
-    return Tensor(out, (x, gain, bias), vjp)
+    return _record(out, (x, gain, bias), vjp, "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -419,9 +403,6 @@ def gelu(x) -> Tensor:
     x_sq = xd * xd
     t = np.tanh(_GELU_C * xd * (1.0 + 0.044715 * x_sq))
     out = 0.5 * xd * (1.0 + t)
-    if not _grad_enabled:
-        return Tensor(out)
-    _check_finite(out, "gelu")
 
     def vjp(g):
         # dx = 0.5 * (1 + t) + 0.5 * xd * (1 - t * t) * du with
@@ -439,7 +420,7 @@ def gelu(x) -> Tensor:
         du *= g
         return (du,)
 
-    return Tensor(out, (x,), vjp)
+    return _record(out, (x,), vjp, "gelu")
 
 
 def cross_entropy(logits, targets) -> Tensor:
@@ -460,9 +441,6 @@ def cross_entropy(logits, targets) -> Tensor:
     logz = np.log(np.exp(shifted).sum(axis=-1))
     rows = np.arange(n)
     out = (logz - shifted[rows, ids]).sum() / n
-    if not _grad_enabled:
-        return Tensor(out)
-    _check_finite(np.asarray(out), "cross_entropy")
 
     def vjp(g):
         grad = np.exp(shifted - logz[:, None])
@@ -470,19 +448,7 @@ def cross_entropy(logits, targets) -> Tensor:
         grad *= float(g) / n
         return (grad.reshape(logits.shape),)
 
-    return Tensor(out, (logits,), vjp)
-
-
-def sum_all(x) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.sum()
-    if not _grad_enabled:
-        return Tensor(out)
-
-    def vjp(g):
-        return (np.full_like(x.data, float(g)),)
-
-    return Tensor(out, (x,), vjp)
+    return _record(out, (logits,), vjp, "cross_entropy")
 
 
 # ---------------------------------------------------------------------------

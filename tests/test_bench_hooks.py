@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from vqgen import data, generation, metrics, model, multimodal, numerics, probe, training
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -47,6 +49,16 @@ def test_tracer_installs_and_restores_every_wrapper():
             assert getattr(mod, attr) is not original, f"{mod.__name__}.{attr}"
     after = {(name, attr): getattr(mod, attr) for name, mod in MODULES.items() for attr in dir(mod)}
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_times_the_per_op_finiteness_check():
+    # a recorded op reaches `_check_finite` through the module attribute the
+    # tracer wraps, so its `numerics.check_finite` span keeps counting
+    tracing = load_tracing()
+    x, w, b = (numerics.Tensor(np.ones(shape)) for shape in ((2, 3), (3, 4), (4,)))
+    with tracing.Tracer(MODULES) as tracer:
+        numerics.affine(x, w, b)
+    assert tracer.self_s["numerics.check_finite"] > 0
 
 
 def test_clock_hook_targets_exist():

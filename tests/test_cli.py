@@ -146,6 +146,32 @@ class TestPipeline:
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert summary == f"wrote 4 generated questions ({truncated} truncated): {out}"
 
+    def test_generate_uses_the_last_position(self, tmp_path):
+        # max_positions one above the longest caption input: its last step's
+        # [MASK] takes the last position, which leaves room for one token
+        from vqgen import data as dt
+        from vqgen import generation as gen
+        from vqgen import model as md
+
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "4", "--val", "1", "--test", "3"]) == 0
+        split = dt.load_split(data, "test")
+        inputs = [split.assemble(item, cli.GENERATE_MODES["caption"]) for item in split.items]
+        config = md.ModelConfig(num_layers=1, num_heads=2, model_dim=16, ffn_dim=32,
+                                vocab_size=len(split.vocab),
+                                max_positions=max(len(inp) for inp in inputs) + 1)
+        ckpt = tmp_path / "s.ckpt"
+        md.save_checkpoint(ckpt, config, md.init_parameters(config, 0))
+        out = tmp_path / "g.tsv"
+        assert run(["generate", "--data", str(data), "--split", "test", "--ckpt", str(ckpt),
+                    "--mode", "caption", "--max-length", "1", "--out", str(out)]) == 0
+        params = md.load_checkpoint(ckpt)[1]
+        expected = [dt.decode_text(gen.generate(params, inp, gen.GenerationConfig(1)).tokens,
+                                   split.vocab) for inp in inputs]
+        texts = [line.split("\t", 1)[1] for line in out.read_text().splitlines()[1:]]
+        assert texts == expected
+
 
 class TestDeterminism:
     def test_identical_argv_identical_artifacts(self, tmp_path):
@@ -232,6 +258,10 @@ class TestErrors:
                                 (probe, TOY_CONFIG + "use_type_embeddings=2\n",
                                  "use_type_embeddings"),
                                 (probe, "dropout=abc\n", "dropout"),
+                                (train, "max_steps=1\nmax_steps=2\n",
+                                 f"{cfg}:2: config key 'max_steps'"),
+                                (probe, "dropout=0.1\ndropout=0.2\n",
+                                 f"{cfg}:2: config key 'dropout'"),
                                 (probe_ckpt, None, "nonexistent.cfg"),
                                 (probe_ckpt, "num_layers=3\n", "num_layers")]:
             if text is not None:

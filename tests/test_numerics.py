@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from tests_support import sum_all
 from vqgen import numerics as nm
 from vqgen.numerics import (
     OptimizerState,
@@ -16,7 +18,6 @@ from vqgen.numerics import (
     layer_norm,
     lr_schedule,
     softmax_rows,
-    sum_all,
 )
 
 
@@ -591,6 +592,68 @@ class TestNoGrad:
         with pytest.raises(nm.NumericError):
             nm.check_finite(out, "forward")
         nm.check_finite(x.value, "input")
+
+
+# every op, as a function of its tensor operands, and the shapes of those operands
+OP_CASES = {
+    "add": (nm.add, [(2, 3), (2, 3)]),
+    "mul": (nm.mul, [(2, 3), (1, 3)]),
+    "matmul": (nm.matmul, [(2, 3), (3, 2)]),
+    "affine": (nm.affine, [(2, 3), (3, 4), (4,)]),
+    "transpose": (nm.transpose, [(2, 3)]),
+    "swapaxes": (lambda a: nm.swapaxes(a, 0, 1), [(2, 3)]),
+    "reshape": (lambda a: nm.reshape(a, (3, 2)), [(2, 3)]),
+    "concat": (lambda a, b: nm.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    "narrow": (lambda a: nm.narrow(a, 1, 1, 2), [(2, 3)]),
+    "take_rows": (lambda t: nm.take_rows(t, [1, 0, 1]), [(2, 3)]),
+    "softmax_rows": (nm.softmax_rows, [(2, 3)]),
+    "layer_norm": (nm.layer_norm, [(2, 3), (3,), (3,)]),
+    "gelu": (nm.gelu, [(2, 3)]),
+    "cross_entropy": (lambda logits: nm.cross_entropy(logits, [0, 2]), [(2, 3)]),
+}
+CHECKED_OPS = ("affine", "softmax_rows", "layer_norm", "gelu", "cross_entropy")
+
+
+def op_operands(shapes):
+    rng = np.random.default_rng(3)
+    return [Tensor(rng.normal(size=shape)) for shape in shapes]
+
+
+class TestOpContract:
+    """Each op ends in `_record`: a leaf under no_grad, else a node over its
+    operands; the checked ops also reject a non-finite result when recorded."""
+
+    def test_cases_cover_every_op(self):
+        ops = {name for name, fn in inspect.getmembers(nm, inspect.isfunction)
+               if fn.__module__ == nm.__name__ and "return _record(" in inspect.getsource(fn)}
+        assert ops == set(OP_CASES)
+
+    @pytest.mark.parametrize("name", OP_CASES)
+    def test_leaf_under_no_grad(self, name):
+        op, shapes = OP_CASES[name]
+        with nm.no_grad():
+            out = op(*op_operands(shapes))
+        assert out._parents == () and out._vjp is None
+
+    @pytest.mark.parametrize("name", OP_CASES)
+    def test_recorded_over_its_operands(self, name):
+        op, shapes = OP_CASES[name]
+        operands = op_operands(shapes)
+        out = op(*operands)
+        assert len(out._parents) == len(operands)
+        assert all(p is o for p, o in zip(out._parents, operands))
+        assert callable(out._vjp)
+
+    @pytest.mark.parametrize("name", CHECKED_OPS)
+    def test_nan_input_raises_only_when_recorded(self, name):
+        op, shapes = OP_CASES[name]
+        operands = op_operands(shapes)
+        operands[0].data[0, 0] = np.nan
+        with pytest.raises(nm.NumericError, match=name):
+            op(*operands)
+        with nm.no_grad():
+            out = op(*operands)
+        assert not np.all(np.isfinite(out.data))
 
 
 class TestParameterLifetime:
