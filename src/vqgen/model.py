@@ -513,6 +513,8 @@ def load_checkpoint(path):
                 raise CheckpointError(f"tensor {name!r} has shape {shape}, expected {exp_shape}")
             n_items = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read_exact(fh, 4 * n_items), dtype="<f4")
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"tensor {name!r} holds a NaN or an infinity")
             store[name] = Parameter(name, data.astype(nm.DEFAULT_DTYPE).reshape(shape))
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last tensor")

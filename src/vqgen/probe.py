@@ -1,6 +1,8 @@
 """Cross-modal alignment probe: per-layer cosine between the mean region state
-of an image-only encoding and the mean caption-token state of the matching
-caption-only encoding.
+of an image-only input and the mean caption-token state of the matching
+caption-only input. A pair's two inputs are encoded as one sequence of two
+blocks that cannot see each other, each starting at position 0, so every row
+gets the states it would get encoded alone.
 
 The [CLS] row is left out of X_sim: it is the same token at the same position
 in both inputs, so its cosine starts at exactly 1 and stays high whatever
@@ -20,7 +22,6 @@ import numpy as np
 from . import model as md
 from . import multimodal as mm
 from . import numerics as nm
-from .generation import build_left_to_right_mask
 
 RANDOM_BASELINE_SEED = 424242
 
@@ -50,10 +51,10 @@ def xsim_per_layer(
     *,
     label: str = "model",
 ) -> ProbeReport:
-    """Encode each pair's image and caption separately; at every layer
-    1..num_layers, cosine between the mean of the image input's region rows
-    (`visual_span`) and the mean of the caption input's token rows
-    (`text_span`), averaged over pairs.
+    """Encode each pair once as `[image input | caption input]` under a
+    block-diagonal mask; at every layer 1..num_layers, cosine between the mean
+    of the image block's region rows (`visual_span`) and the mean of the
+    caption block's token rows (`text_span`), averaged over pairs.
 
     A pair with no regions or no caption tokens has nothing to average and
     raises ProbeError.
@@ -75,18 +76,20 @@ def xsim_per_layer(
         caption_input = mm.assemble_input(
             mm.CAPTION_ONLY, caption=caption, cls_id=special.cls, sep_id=special.sep
         )
-        per_layer = []
-        for inp, (lo, hi) in (
-            (image_input, image_input.visual_span),
-            (caption_input, caption_input.text_span),
-        ):
-            allow = build_left_to_right_mask(len(inp), 0)
-            with nm.no_grad():
-                states = md.encode(md.embed_sequence(inp, params), allow, params)
-            nm.check_finite(states[-1], "encode")  # the one check no_grad leaves
-            per_layer.append([s.data[lo:hi].mean(axis=0) for s in states[1:]])
-        for layer in range(config.num_layers):
-            sums[layer] += cosine(per_layer[0][layer], per_layer[1][layer])
+        n_img = len(image_input)
+        allow = np.zeros((n_img + len(caption_input),) * 2, dtype=bool)
+        allow[:n_img, :n_img] = allow[n_img:, n_img:] = True  # each block sees only itself
+        ids = np.concatenate([image_input.ids, caption_input.ids])[None]
+        positions = np.concatenate([image_input.positions, caption_input.positions])[None]
+        (v0, v1), (t0, t1) = image_input.visual_span, caption_input.text_span
+        with nm.no_grad():
+            x = md.embed_rows(params, ids, positions, image_input.regions[None], (v0, v1))
+            states = md.encode_states(x, allow, params)
+        nm.check_finite(states[-1], "encode")  # the one check no_grad leaves
+        for layer, state in enumerate(states[1:]):
+            rows = state.data[0]
+            image_mean = rows[v0:v1].mean(axis=0)
+            sums[layer] += cosine(image_mean, rows[n_img + t0 : n_img + t1].mean(axis=0))
     values = sums / len(paired_set)
     return ProbeReport(model_label=label, xsim=[float(v) for v in values], items=len(paired_set))
 

@@ -77,3 +77,29 @@ def test_bench_selftest_passes():
     result = subprocess.run([sys.executable, str(BENCH / "selftest.py")], cwd=root,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
+def test_probe_pair_starts_at_its_image_input(monkeypatch):
+    # the benchmark's per-pair clock starts at each IMAGE_ONLY `assemble_input`
+    # call and stops at the next one, so each pair's encode must fall between
+    # its own image input and the next pair's
+    events = []
+    assemble, encode_states = multimodal.assemble_input, model.encode_states
+
+    def record_assemble(mode, *args, **kwargs):
+        events.append(mode)
+        return assemble(mode, *args, **kwargs)
+
+    def record_encode(*args, **kwargs):
+        events.append("encode")
+        return encode_states(*args, **kwargs)
+
+    monkeypatch.setattr(multimodal, "assemble_input", record_assemble)
+    monkeypatch.setattr(model, "encode_states", record_encode)
+    config = model.ModelConfig(num_layers=2, num_heads=2, model_dim=8, ffn_dim=16, vocab_size=12,
+                               max_positions=16, feature_dim=4, num_regions=2)
+    rng = np.random.default_rng(0)
+    visual = multimodal.VisualSequence(rng.normal(size=(2, 4)), rng.random((2, 4)), [2.0, 1.0])
+    pairs = [(visual, [6 + k, 7]) for k in range(3)]
+    probe.xsim_per_layer(model.init_parameters(config, 1), pairs)
+    assert events == [multimodal.IMAGE_ONLY, multimodal.CAPTION_ONLY, "encode"] * 3

@@ -352,21 +352,38 @@ class TestErrors:
                     "--out", str(tmp_path / "g.tsv")])
         assert code == 3
 
-    def test_nan_weight_generate_exits_5(self, tmp_path, pipeline, capsys):
+    @staticmethod
+    def nan_checkpoint(tmp_path, s1):
         from vqgen import model as md
 
-        _, data, _, s1, *_ = pipeline
         config, params, extras = md.load_checkpoint(s1)
         params["layer0.ffn.w1"].value.data[0, 0] = float("nan")
         bad = tmp_path / "nan.ckpt"
         md.save_checkpoint(bad, config, params, extras)
+        return bad
+
+    def test_nan_weight_generate_exits_3(self, tmp_path, pipeline, capsys):
+        _, data, _, s1, *_ = pipeline
+        bad = self.nan_checkpoint(tmp_path, s1)
         capsys.readouterr()
         code = run(["generate", "--data", str(data), "--split", "test", "--ckpt", str(bad),
                     "--mode", "caption", "--out", str(tmp_path / "g.tsv")])
         err = capsys.readouterr().err
-        assert code == 5
+        assert code == 3
         assert len(err.strip().splitlines()) == 1
-        assert "NumericError" in err
+        assert "CheckpointError" in err and "layer0.ffn.w1" in err
+
+    def test_nan_weight_probe_exits_3(self, tmp_path, pipeline, capsys):
+        _, data, _, s1, *_ = pipeline
+        bad = self.nan_checkpoint(tmp_path, s1)
+        capsys.readouterr()
+        code = run(["probe", "--data", str(data), "--split", "val", "--ckpt", str(bad),
+                    "--out", str(tmp_path / "probe.tsv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "CheckpointError" in err and "layer0.ffn.w1" in err
+        assert not (tmp_path / "probe.tsv").exists()
 
     def test_checkpoint_trailing_bytes_exits_3(self, tmp_path, pipeline, capsys):
         _, data, _, s1, *_ = pipeline

@@ -354,6 +354,16 @@ class TestCheckpoint:
         with pytest.raises(md.CheckpointError, match="trailing"):
             md.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 11)
+        params["projection.bias"].value.data[3] = value
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, cfg, params)
+        with pytest.raises(md.CheckpointError, match="'projection.bias'"):
+            md.load_checkpoint(path)
+
     def test_truncated(self, tmp_path):
         cfg = tiny_config()
         params = md.init_parameters(cfg, 11)

@@ -4,7 +4,9 @@ import pytest
 from tests_support import stack_regions
 from vqgen import model as md
 from vqgen import multimodal as mm
+from vqgen import numerics as nm
 from vqgen import probe as pb
+from vqgen.generation import build_left_to_right_mask
 
 
 def probe_config(**overrides):
@@ -14,17 +16,49 @@ def probe_config(**overrides):
     return md.ModelConfig(**base)
 
 
-def make_pairs(config, n_pairs=4, seed=0):
+def make_pairs(config, n_pairs=4, seed=0, caption_lengths=None):
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(n_pairs):
+    for length in caption_lengths or [4] * n_pairs:
         visual = stack_regions(
             (rng.normal(size=config.feature_dim), rng.random(4), float(config.num_regions - j))
             for j in range(config.num_regions)
         )
-        caption = list(rng.integers(6, config.vocab_size, size=4))
+        caption = list(rng.integers(6, config.vocab_size, size=length))
         pairs.append((visual, caption))
     return pairs
+
+
+def two_encode_xsim(params, pairs):
+    """X_sim with each pair's image and caption input encoded on its own, one
+    left-to-right sequence each: the computation the packed probe replaces."""
+    special = md.SpecialTokens()
+    sums = np.zeros(params.config.num_layers)
+    for visual, caption in pairs:
+        image = mm.assemble_input(mm.IMAGE_ONLY, visual=visual, cls_id=special.cls, sep_id=special.sep)
+        text = mm.assemble_input(mm.CAPTION_ONLY, caption=caption, cls_id=special.cls,
+                                 sep_id=special.sep)
+        means = []
+        for inp, (lo, hi) in ((image, image.visual_span), (text, text.text_span)):
+            with nm.no_grad():
+                states = md.encode(md.embed_sequence(inp, params),
+                                   build_left_to_right_mask(len(inp), 0), params)
+            means.append([state.data[lo:hi].mean(axis=0) for state in states[1:]])
+        sums += [pb.cosine(a, b) for a, b in zip(*means)]
+    return sums / len(pairs)
+
+
+def recorded_states(monkeypatch):
+    """Every `encode_states` result of the calls that follow, in call order."""
+    calls = []
+    original = md.encode_states
+
+    def record(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(md, "encode_states", record)
+    return calls
 
 
 class TestCosine:
@@ -117,6 +151,59 @@ class TestXsim:
         assert lines[0] == "layer_index\tmodel_label\txsim"
         assert len(lines) == 1 + config.num_layers
         assert lines[1].startswith("1\tstage1\t")
+
+
+class TestPackedPair:
+    """One encode per pair, `[image input | caption input]` under a
+    block-diagonal mask, gives what two separate encodes give."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("use_type_embeddings", [False, True])
+    @pytest.mark.parametrize("num_regions, caption_lengths", [
+        (3, [1, 3, 6]),  # caption input shorter than, as long as, longer than the image input
+        (1, [1, 4]),
+    ])
+    def test_matches_two_encodes(self, dtype, tol, use_type_embeddings, num_regions,
+                                 caption_lengths):
+        config = probe_config(num_regions=num_regions, use_type_embeddings=use_type_embeddings)
+        params = md.init_parameters(config, 3)
+        params.astype(dtype)
+        pairs = make_pairs(config, caption_lengths=caption_lengths)
+        for pair in pairs:  # pair by pair, so no error hides in the average
+            got = pb.xsim_per_layer(params, [pair]).xsim
+            np.testing.assert_allclose(got, two_encode_xsim(params, [pair]), rtol=0, atol=tol)
+        got = pb.xsim_per_layer(params, pairs).xsim
+        np.testing.assert_allclose(got, two_encode_xsim(params, pairs), rtol=0, atol=tol)
+
+    def test_caption_tokens_leave_image_block_bit_identical(self, monkeypatch):
+        config = probe_config()
+        params = md.init_parameters(config, 1)
+        pairs = make_pairs(config, n_pairs=2)
+        other = [pairs[0], (pairs[1][0], [t + 1 for t in pairs[1][1]])]
+        calls = recorded_states(monkeypatch)
+        pb.xsim_per_layer(params, pairs)
+        pb.xsim_per_layer(params, other)
+        n_img = 1 + config.num_regions
+        before, after = calls[1], calls[3]
+        assert not np.array_equal(before[0].data[:, n_img:], after[0].data[:, n_img:])
+        for layer, (a, b) in enumerate(zip(before, after)):
+            assert np.array_equal(a.data[:, :n_img], b.data[:, :n_img]), layer
+
+    def test_pair_longer_than_max_positions_accepted(self):
+        # 4 image rows + 5 caption rows: 9 rows in all, each block within 5 positions
+        config = probe_config(num_regions=3, max_positions=5)
+        params = md.init_parameters(config, 1)
+        pairs = make_pairs(config, caption_lengths=[4, 2])
+        got = pb.xsim_per_layer(params, pairs).xsim
+        np.testing.assert_allclose(got, two_encode_xsim(params, pairs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_regions, caption_length", [(3, 5), (5, 1)])
+    def test_block_longer_than_max_positions_rejected(self, num_regions, caption_length):
+        config = probe_config(num_regions=num_regions, max_positions=5)
+        params = md.init_parameters(config, 1)
+        pairs = make_pairs(config, caption_lengths=[caption_length])
+        with pytest.raises(nm.ShapeError, match="max_positions"):
+            pb.xsim_per_layer(params, pairs)
 
 
 class TestWriteTable:
