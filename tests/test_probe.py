@@ -48,19 +48,6 @@ def two_encode_xsim(params, pairs):
     return sums / len(pairs)
 
 
-def recorded_states(monkeypatch):
-    """Every `encode_states` result of the calls that follow, in call order."""
-    calls = []
-    original = md.encode_states
-
-    def record(*args, **kwargs):
-        calls.append(original(*args, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(md, "encode_states", record)
-    return calls
-
-
 class TestCosine:
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -179,8 +166,14 @@ class TestPackedPair:
         config = probe_config()
         params = md.init_parameters(config, 1)
         pairs = make_pairs(config, n_pairs=2)
-        other = [pairs[0], (pairs[1][0], [t + 1 for t in pairs[1][1]])]
-        calls = recorded_states(monkeypatch)
+        other = [pairs[0], (pairs[1][0], pairs[0][1])]  # pair 1 takes pair 0's caption
+        calls, encode_states = [], md.encode_states
+
+        def record(*args):
+            calls.append(encode_states(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(md, "encode_states", record)
         pb.xsim_per_layer(params, pairs)
         pb.xsim_per_layer(params, other)
         n_img = 1 + config.num_regions
