@@ -215,7 +215,7 @@ def _cmd_generate(args, argv) -> int:
         out = gen.generate(params, inp, gen.GenerationConfig(max_length=min(args.max_length, room)))
         truncated += out.truncated
         lines.append(f"{item.id}\t{dt.decode_text(out.tokens, split.vocab)}")
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with md.write_atomically(args.out) as fh:
         fh.write("# " + json.dumps(_meta(args, argv), sort_keys=True) + "\n")
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} generated questions ({truncated} truncated): {args.out}")
@@ -381,6 +381,12 @@ def _fail(code: int, exc: Exception) -> int:
     return code
 
 
+def _check_output_dir(flag: str, path) -> None:
+    """Fail before any work when the directory an output file goes to is missing."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise NotADirectoryError(f"{flag} {path}: {Path(path).parent} is not a directory")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -391,6 +397,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        if args.command != "synth":  # synth's --out is the directory it creates
+            for flag in ("out", "log"):
+                _check_output_dir(f"--{flag}", getattr(args, flag, None))
         return args.func(args, argv)
     except UsageError as exc:
         return _fail(EXIT_USAGE, exc)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .data import tokenize
+from .model import write_atomically
 
 BLEU_EPSILON = 1e-9
 ROUGE_BETA_SQ = 1.2 * 1.2
@@ -316,7 +317,7 @@ def evaluate_corpus(corpus: EvalCorpus) -> MetricReport:
 
 
 def write_report(path, report: MetricReport, meta: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         if meta:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(report.to_text())

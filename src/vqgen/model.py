@@ -11,10 +11,13 @@ token-embedding table -- no separate output matrix exists.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -341,10 +344,15 @@ def encode_states(
     rng: Optional[np.random.Generator] = None,
     cache: Optional[KVCache] = None,
     keep: Optional[int] = None,
+    out_rows: Optional[np.ndarray] = None,
 ) -> list[Tensor]:
     """Run the encoder stack on (B, S, d) input under a boolean allow mask.
 
     Returns num_layers+1 tensors; index 0 is the embedding input.
+
+    With `out_rows`, a (B, P) index array, the last layer computes only those
+    rows of each input, so the last tensor is (B, P, d); their queries still
+    attend to the keys and values of all S rows.
 
     With a `cache` holding P rows, `x` holds only the S new rows, which attend
     to the cached keys/values and to their own: `allow` is then (B, S, P + S).
@@ -363,6 +371,9 @@ def encode_states(
         keep = s
     if not 0 <= keep <= s:
         raise nm.ShapeError(f"cannot keep {keep} of {s} new rows")
+    if out_rows is not None and not (out_rows.ndim == 2 and len(out_rows) == b
+                                     and 0 <= out_rows.min() and out_rows.max() < s):
+        raise nm.ShapeError(f"out_rows {out_rows.shape} must index the {s} rows of {b} inputs")
     mask_add = Tensor(additive_mask(allow)[:, None, :, :].astype(x.data.dtype))
 
     h_count, dh = config.num_heads, config.head_dim
@@ -372,10 +383,15 @@ def encode_states(
 
     for i in range(config.num_layers):
         pre = f"layer{i}"
+        x_all = x
+        if out_rows is not None and i == config.num_layers - 1:
+            x = nm.take_rows(nm.reshape(x, (b * s, d)), out_rows + s * np.arange(b)[:, None])
+            allow = np.broadcast_to(allow, (b, s, past + s))[np.arange(b)[:, None], out_rows]
+            mask_add = Tensor(additive_mask(allow)[:, None, :, :].astype(x.data.dtype))
         q = nm.affine(x, params[f"{pre}.attn.wq"].value, params[f"{pre}.attn.bq"].value)
-        k = nm.affine(x, params[f"{pre}.attn.wk"].value, params[f"{pre}.attn.bk"].value)
-        v = nm.affine(x, params[f"{pre}.attn.wv"].value, params[f"{pre}.attn.bv"].value)
-        q = nm.swapaxes(nm.reshape(q, (b, s, h_count, dh)), 1, 2)
+        k = nm.affine(x_all, params[f"{pre}.attn.wk"].value, params[f"{pre}.attn.bk"].value)
+        v = nm.affine(x_all, params[f"{pre}.attn.wv"].value, params[f"{pre}.attn.bv"].value)
+        q = nm.swapaxes(nm.reshape(q, (b, -1, h_count, dh)), 1, 2)
         k = nm.swapaxes(nm.reshape(k, (b, s, h_count, dh)), 1, 2)
         v = nm.swapaxes(nm.reshape(v, (b, s, h_count, dh)), 1, 2)
         if past:
@@ -385,7 +401,7 @@ def encode_states(
             kept.append((k.data[:, :, : past + keep], v.data[:, :, : past + keep]))
         scores = nm.add(nm.mul(nm.matmul(q, nm.transpose(k)), scale), mask_add)
         att = nm.softmax_rows(scores)
-        ctx = nm.reshape(nm.swapaxes(nm.matmul(att, v), 1, 2), (b, s, d))
+        ctx = nm.reshape(nm.swapaxes(nm.matmul(att, v), 1, 2), (b, -1, d))
         ctx = nm.affine(ctx, params[f"{pre}.attn.wo"].value, params[f"{pre}.attn.bo"].value)
         ctx = _dropout(ctx, dropout, rng)
         x = nm.layer_norm(
@@ -454,6 +470,31 @@ def _decode_kv(raw: bytes) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def write_atomically(path, mode: str = "w"):
+    """Open `path` for writing so that it ends up written in full or not at all.
+
+    The writer writes a temporary file in the same directory, which replaces
+    `path` once the writer returns. If the writer raises, the temporary file
+    is removed and `path` keeps its previous bytes. A symbolic link is
+    followed, so the file it points to is replaced; a `path` that exists but
+    is not a regular file, such as a device, is written in place.
+    """
+    path = Path(path).resolve()
+    encoding = None if "b" in mode else "utf-8"
+    if path.exists() and not path.is_file():
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, config: ModelConfig, params: Parameters, extras: Optional[dict] = None):
     """Write the versioned binary checkpoint; tensors stored as little-endian f32."""
     meta = {str(k): str(v) for k, v in (extras or {}).items()}
@@ -461,7 +502,7 @@ def save_checkpoint(path, config: ModelConfig, params: Parameters, extras: Optio
     cfg.update({f"x.{k}": v for k, v in meta.items()})
     blob = _encode_kv(cfg)
     names = params.names()
-    with open(path, "wb") as fh:
+    with write_atomically(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

@@ -100,7 +100,7 @@ def random_baseline(config: md.ModelConfig) -> md.Parameters:
 
 
 def write_probe_table(path, reports: Sequence[ProbeReport], meta: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with md.write_atomically(path) as fh:
         if meta:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write("layer_index\tmodel_label\txsim\n")

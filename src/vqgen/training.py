@@ -6,7 +6,9 @@ laid out as [input block | target rows y_1..y_T | prediction rows m_1..m_T+1]
 where prediction row m_t holds the mask token at the same position id as y_t
 and attends exactly what the generation loop's appended mask slot attends:
 the input, the strictly-prior targets, and itself. Its logits are therefore
-bit-equal to those of a step-by-step decode on the same prefix.
+bit-equal to those of a step-by-step decode on the same prefix. The loss reads
+only the prediction rows, so the last encoder layer computes only those; every
+row of the layer below still gives them keys and values.
 
 An item's questions share one input block: a batch row holds
 [input | y^1, m^1 | y^2, m^2 | ...], one (y, m) block per question. Input rows
@@ -254,8 +256,12 @@ def _batch_logits(
     the labels they are scored against."""
     x, allow, pred_rows, labels = _embed_batch(params, batch, special)
     b, r, d = x.shape
-    states = md.encode_states(x, allow, params, dropout=dropout, rng=rng)
-    pred_states = nm.take_rows(nm.reshape(states[-1], (b * r, d)), pred_rows)
+    blocks, rows = np.divmod(pred_rows, r)
+    slots = np.arange(len(rows)) - np.searchsorted(blocks, blocks)
+    out_rows = np.zeros((b, slots.max() + 1), dtype=np.int64)  # pad rows read row 0
+    out_rows[blocks, slots] = rows
+    states = md.encode_states(x, allow, params, dropout=dropout, rng=rng, out_rows=out_rows)
+    pred_states = nm.take_rows(nm.reshape(states[-1], (-1, d)), blocks * out_rows.shape[1] + slots)
     return md.decode_logits(pred_states, params), labels
 
 
@@ -368,7 +374,7 @@ def run_stage(plan: StagePlan, corpus: dt.LoadedSplit, config: md.ModelConfig) -
 
 
 def write_training_log(path, result: StageResult, meta: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with md.write_atomically(path) as fh:
         if meta:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         for rec in result.history:

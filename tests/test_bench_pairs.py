@@ -1,6 +1,7 @@
 """The paired-run summary of tools/bench_pairs.py on made-up values: a gain
 needs nine wins in ten and a median move beyond the base's spread, and a
-metric that worsens beyond its bound is flagged. No subprocess is started."""
+metric that worsens beyond its bound is flagged; the edited-file list with
+`git` stubbed. No subprocess is started."""
 
 import importlib.util
 from pathlib import Path
@@ -66,3 +67,16 @@ def test_bound_check(bench_pairs, factor, within):
     # the same runs read as time per operation: 1/0.74 - 1 = +35% > 25%
     assert summary["op_ms_p50"]["within_bound"] is (1.0 / factor - 1.0 <= 0.25)
     assert summary["work_per_s"]["pairs_won"] == 0
+
+
+def test_edited_files_include_untracked_ones(bench_pairs, monkeypatch):
+    outputs = {("diff", "HEAD", "--name-only"): "src/vqgen/model.py\nREADME.md",
+               ("ls-files", "--others", "--exclude-standard"): "src/vqgen/new_module.py"}
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: outputs[args])
+    assert bench_pairs.edited_files() == ["src/vqgen/model.py", "README.md",
+                                          "src/vqgen/new_module.py"]
+
+
+def test_edited_files_empty_on_a_clean_tree(bench_pairs, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    assert bench_pairs.edited_files() == []

@@ -499,6 +499,141 @@ class TestErrors:
         assert "--max-length" in err and length in err
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_output_dir_missing_exits_3_before_training(self, tmp_path, pipeline, capsys,
+                                                               monkeypatch, flag):
+        from vqgen import training as tr
+
+        def no_training(*args, **kwargs):
+            pytest.fail("run_stage called with an unwritable output path")
+
+        monkeypatch.setattr(tr, "run_stage", no_training)
+        _, data, cfg, *_ = pipeline
+        ckpt, log, missing = tmp_path / "s1.ckpt", tmp_path / "s1.log", tmp_path / "none" / "s1.x"
+        paths = {"--out": ckpt, "--log": log, flag: missing}
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(cfg), "--stage", "1",
+                    "--out", str(paths["--out"]), "--log", str(paths["--log"])])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert f"{flag} {missing}" in err
+        assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "eval", "probe"])
+    def test_output_parent_not_a_directory_exits_3(self, tmp_path, pipeline, capsys, command):
+        _, data, _, s1, _, _, gen_file, *_ = pipeline
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        out = plain / "out.txt"
+        argv = {
+            "generate": ["generate", "--data", str(data), "--ckpt", str(s1), "--mode", "caption"],
+            "eval": ["eval", "--data", str(data), "--generated", str(gen_file)],
+            "probe": ["probe", "--data", str(data), "--include-random"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"--out {out}" in err and "NotADirectoryError" in err
+        assert plain.read_text() == "x"
+
+
+class TestAtomicOutput:
+    """A writer that raises part way leaves the previous file's bytes at its
+    path and no temporary file beside it."""
+
+    @staticmethod
+    def writers():
+        from vqgen import metrics as mx
+        from vqgen import model as md
+        from vqgen import probe as pb
+        from vqgen import training as tr
+
+        config = md.ModelConfig(num_layers=1, num_heads=2, model_dim=8, ffn_dim=16,
+                                vocab_size=12, max_positions=8, feature_dim=4, num_regions=2)
+
+        def checkpoint(path, good):
+            params = md.init_parameters(config, 0)
+            if not good:  # a later tensor that cannot be stored as f32
+                params["head.output_bias"].value.data = np.array(["x"] * 12)
+            md.save_checkpoint(path, config, params)
+
+        def training_log(path, good):
+            history = [tr.LogRecord(1, tr.STAGE1, 1e-3, 2.5),
+                       tr.LogRecord(2, tr.STAGE1, 1e-3, 2.0 if good else None)]
+            tr.write_training_log(path, tr.StageResult(tr.STAGE1, config, None, history))
+
+        def report(path, good):
+            scores = [0.5] * 6 + [0.25 if good else "x"]
+            mx.write_report(path, mx.MetricReport(*scores, items=3), meta={"seed": 1})
+
+        def probe_table(path, good):
+            reports = [pb.ProbeReport("a", [0.1, 0.2], 4),
+                       pb.ProbeReport("b", [0.3, 0.4 if good else "x"], 4)]
+            pb.write_probe_table(path, reports)
+
+        return {"checkpoint": checkpoint, "training_log": training_log, "report": report,
+                "probe_table": probe_table}
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "training_log", "report", "probe_table"])
+    def test_failed_write_keeps_previous_bytes(self, tmp_path, writer):
+        write = self.writers()[writer]
+        path = tmp_path / "artefact"
+        write(path, good=True)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, ValueError)):
+            write(path, good=False)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artefact"]
+
+    def test_helper_replaces_only_on_success(self, tmp_path):
+        from vqgen import model as md
+
+        path = tmp_path / "gen.tsv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with md.write_atomically(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("writer failed")
+        assert path.read_text() == "old\n"
+        with md.write_atomically(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["gen.tsv"]
+
+    def test_helper_follows_a_symbolic_link(self, tmp_path):
+        from vqgen import model as md
+
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        with md.write_atomically(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+    def test_helper_writes_a_non_regular_file_in_place(self, tmp_path):
+        # a device or pipe at --out is written, not replaced by a regular file
+        import os
+        import stat
+        import threading
+
+        from vqgen import model as md
+
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        with md.write_atomically(fifo) as fh:
+            fh.write("through the pipe\n")
+        reader.join(timeout=10)
+        assert received == ["through the pipe\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
 class TestModuleEntry:
     def test_python_dash_m_smoke(self, tmp_path):
         env_data = tmp_path / "data"

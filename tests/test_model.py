@@ -247,6 +247,32 @@ class TestEncode:
         b = md.encode(md.embed_sequence(inp, params), mask, params)[-1].data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_out_rows_equal_full_encode_gathered(self, dtype):
+        # one (S, S) mask shared by the batch; rows unsorted and repeated
+        cfg = tiny_config(num_layers=3)
+        params = md.init_parameters(cfg, 5)
+        params.astype(dtype)
+        x = nm.Tensor(np.random.default_rng(1).normal(size=(2, 6, cfg.model_dim)).astype(dtype))
+        allow = gen.build_left_to_right_mask(2, 4)
+        out_rows = np.array([[5, 1, 1], [0, 4, 2]])
+        full = md.encode_states(x, allow, params)
+        part = md.encode_states(x, allow, params, out_rows=out_rows)
+        assert len(part) == cfg.num_layers + 1
+        for a, b in zip(full[:-1], part[:-1]):
+            assert np.array_equal(a.data, b.data)
+        want = full[-1].data[np.arange(2)[:, None], out_rows]
+        assert part[-1].shape == (2, 3, cfg.model_dim)
+        assert np.max(np.abs(part[-1].data - want)) < {np.float64: 1e-12, np.float32: 1e-6}[dtype]
+
+    @pytest.mark.parametrize("out_rows", [[[0], [6]], [[0], [-1]], [[0, 1]], [0, 1]])
+    def test_out_rows_outside_the_batch_rejected(self, out_rows):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 2)
+        x = nm.Tensor(np.zeros((2, 6, cfg.model_dim)))
+        with pytest.raises(nm.ShapeError):
+            md.encode_states(x, np.ones((6, 6), dtype=bool), params, out_rows=np.array(out_rows))
+
 
 class TestDecodeHead:
     def test_weight_tying_shares_storage(self):

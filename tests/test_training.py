@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from tests_support import full_rows_stage_loss
 from vqgen import data as dt
 from vqgen import generation as gen
 from vqgen import model as md
@@ -360,6 +361,85 @@ class TestFrozenBackward:
             if not name.startswith("projection."):
                 assert not np.any(grad), name
                 assert np.any(grads[False][name]), name
+
+
+def uneven_batch(split, mode):
+    """A batch of three items holding 3, 1 and 2 questions, so its blocks
+    hold different numbers of prediction rows."""
+    return tr.Batch(tr.build_examples(with_question_counts(split, [3, 1, 2]), mode))
+
+
+def prediction_rows_by_block(params, batch):
+    """The batch's embedding and mask, and per block the rows whose
+    last-layer state the loss reads, in order."""
+    x, allow, pred_rows, _ = tr._embed_batch(params, batch, SP)
+    r = x.shape[1]
+    per_block = [[int(k) % r for k in pred_rows if k // r == b] for b in range(x.shape[0])]
+    assert len({len(rows) for rows in per_block}) > 1
+    return x, allow, per_block
+
+
+class TestOutRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("use_type", [False, True])
+    @pytest.mark.parametrize("mode", mm.MODES)
+    def test_last_layer_equals_full_rows_gathered(self, small_world, mode, use_type, dtype):
+        _, split, config = small_world
+        cfg = md.ModelConfig(**{**config.to_dict(), "use_type_embeddings": use_type})
+        params = md.init_parameters(cfg, 7)
+        params.astype(dtype)
+        x, allow, per_block = prediction_rows_by_block(params, uneven_batch(split, mode))
+        p, last = max(map(len, per_block)), x.shape[1] - 1
+        out_rows = np.array([rows + [last] * (p - len(rows)) for rows in per_block])
+        full = md.encode_states(x, allow, params)
+        part = md.encode_states(x, allow, params, out_rows=out_rows)
+        for a, b in zip(full[:-1], part[:-1]):
+            assert np.array_equal(a.data, b.data)
+        want = full[-1].data[np.arange(len(out_rows))[:, None], out_rows]
+        assert part[-1].shape == want.shape
+        assert np.max(np.abs(part[-1].data - want)) < {np.float64: 1e-12, np.float32: 1e-6}[dtype]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", mm.MODES)
+    def test_loss_and_gradients_match_full_rows(self, small_world, mode, dtype):
+        _, split, config = small_world
+        tol = {np.float64: 1e-12, np.float32: 1e-6}[dtype]
+        batch = uneven_batch(split, mode)
+        results = []
+        for loss_fn in (tr.stage_loss, full_rows_stage_loss):
+            params = md.init_parameters(config, 4)
+            params.astype(dtype)
+            loss = loss_fn(params, batch, SP)
+            nm.backward_gradients(loss, params.all())
+            results.append((loss.item(), {n: params[n].gradient for n in params.names()}))
+        (loss, grads), (want_loss, want_grads) = results
+        assert abs(loss - want_loss) < tol
+        for name, want in want_grads.items():
+            assert grads[name].dtype == dtype
+            assert np.max(np.abs(grads[name] - want)) < tol, name
+
+    def test_only_the_last_layer_runs_on_prediction_rows(self, small_world, monkeypatch):
+        # rows each encoder affine sees in one stage_loss call: a regression
+        # to full rows in the last layer fails here
+        _, split, config = small_world
+        params = md.init_parameters(config, 2)
+        batch = uneven_batch(split, mm.IMAGE_PLUS_CAPTION)
+        x, _, per_block = prediction_rows_by_block(params, batch)
+        (b, r), p = x.shape[:2], max(map(len, per_block))
+        assert p < r
+        rows, affine = {}, nm.affine
+
+        def record(x, w, bias):
+            rows[w.param.id] = math.prod(x.shape[:-1])
+            return affine(x, w, bias)
+
+        monkeypatch.setattr(nm, "affine", record)
+        tr.stage_loss(params, batch, SP)
+        last = config.num_layers - 1
+        for i in range(config.num_layers):
+            for part in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2"):
+                full = i < last or part in ("attn.wk", "attn.wv")
+                assert rows[f"layer{i}.{part}"] == (b * r if full else b * p), (i, part)
 
 
 class TestStagePlanValidation:

@@ -9,14 +9,26 @@ from functools import lru_cache
 
 import numpy as np
 
+from vqgen import model as md
 from vqgen import multimodal as mm
 from vqgen import numerics as nm
+from vqgen import training as tr
 
 
 def sum_all(x):
     """The scalar sum of a tensor's entries, recorded like a library op."""
     x = nm._as_tensor(x)
     return nm._record(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
+
+
+def full_rows_stage_loss(params, batch, special=md.SpecialTokens()):
+    """`training.stage_loss` at dropout 0 with every row through the last
+    layer: the full encode, then `take_rows` of the prediction rows."""
+    x, allow, pred_rows, labels = tr._embed_batch(params, batch, special)
+    b, r, d = x.shape
+    states = md.encode_states(x, allow, params)
+    pred_states = nm.take_rows(nm.reshape(states[-1], (b * r, d)), pred_rows)
+    return nm.cross_entropy(md.decode_logits(pred_states, params), labels)
 
 
 def finite_difference_subset(fn, param, n_checks=8, seed=0, h=1e-5):

@@ -10,9 +10,9 @@ in odd pairs and this tree first in even pairs. The run length is
 `run_seconds` in this tree's BENCHMARK.json, and the end-to-end metrics, their
 directions and their bounds come from the same file.
 
-The file names the tracked files that differ from HEAD when the runs start
-(`change_edited_files`), so a run on an edited tree says which edits it
-measured. For each end-to-end metric it holds every pair's values, the median
+The file names the tracked files that differ from HEAD and the untracked
+files git does not ignore when the runs start (`change_edited_files`), so a
+run on an edited tree says which edits it measured. For each end-to-end metric it holds every pair's values, the median
 and [Q1, Q3] on each side, the pairs the change won (ties count for neither),
 whether the change's median stays within its bound of the base's, and whether
 a gain is shown: won in at least nine pairs of ten, and the medians differ by
@@ -42,6 +42,12 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def edited_files() -> list[str]:
+    """Tracked files that differ from HEAD, then untracked files not ignored."""
+    return [*git("diff", "HEAD", "--name-only").splitlines(),
+            *git("ls-files", "--others", "--exclude-standard").splitlines()]
 
 
 def extract(sha: str) -> Path:
@@ -126,7 +132,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     trees = {"base": extract(base_sha), "change": ROOT}
-    edited = git("diff", "HEAD", "--name-only").splitlines()
+    edited = edited_files()
     names = [m["name"] for m in spec["end_to_end"]]
 
     pairs, failures, infos = [], [], []
