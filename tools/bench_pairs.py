@@ -12,11 +12,12 @@ directions and their bounds come from the same file.
 
 The file names the tracked files that differ from HEAD and the untracked
 files git does not ignore when the runs start (`change_edited_files`), so a
-run on an edited tree says which edits it measured. For each end-to-end metric it holds every pair's values, the median
-and [Q1, Q3] on each side, the pairs the change won (ties count for neither),
-whether the change's median stays within its bound of the base's, and whether
-a gain is shown: won in at least nine pairs of ten, and the medians differ by
-more than the base's Q3 - Q1.
+run on an edited tree says which edits it measured. For each end-to-end
+metric it holds every pair's values, the median and [Q1, Q3] on each side,
+the pairs the change won (ties count for neither), whether the change's
+median stays within its bound of the base's, and whether a gain is shown:
+won in at least nine pairs of ten, and the medians differ by more than the
+base's Q3 - Q1.
 
 The exit code is 1 if any run fails, reports `correct: false` or counts a
 failed operation; the file is written either way.
