@@ -268,14 +268,21 @@ def _cmd_probe(args, argv) -> int:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
     split = dt.load_split(args.data, args.split)
     fixed, source = {"vocab_size": len(split.vocab)}, "data vocabulary"
-    reports = []
-    for ckpt in args.ckpt or []:
-        ck_config, params, extras = md.load_checkpoint(ckpt)
-        if not reports:
-            fixed, source = ck_config.to_dict(), "checkpoint"
-        elif ck_config.to_dict() != fixed:
-            raise md.ConfigError(f"checkpoint {ckpt} disagrees with the first checkpoint's config")
-        reports.append((params, extras.get("stage", Path(ckpt).stem)))
+    models = {}  # label -> checkpoint path, None for the random baseline
+    for ckpt in [*(args.ckpt or []), *([None] if args.include_random else [])]:
+        label = "random"
+        if ckpt is not None:
+            with open(ckpt, "rb") as fh:
+                ck_config, extras = md.read_checkpoint_header(fh)
+            if not models:
+                fixed, source = ck_config.to_dict(), "checkpoint"
+            elif ck_config.to_dict() != fixed:
+                raise md.ConfigError(f"checkpoint {ckpt} disagrees with the first checkpoint's config")
+            label = extras.get("stage", Path(ckpt).stem)
+        if label in models:  # the random baseline comes last, so models[label] is a path
+            raise UsageError(f"probe label {label!r} names both {models[label]} and "
+                             f"{ckpt or '--include-random'}")
+        models[label] = ckpt
     config, _ = _read_config(args.config, fixed, source)
     if config.vocab_size != len(split.vocab):
         raise md.ConfigError(
@@ -284,14 +291,14 @@ def _cmd_probe(args, argv) -> int:
     split.features.expected_regions = config.num_regions
     split.features.expected_dim = config.feature_dim
     _print_run_header(args, config)
-    if args.include_random:
-        reports.append((pb.random_baseline(config), "random"))
 
     pairs = []
     for item in split.items[: args.limit or None]:
         pairs.append((split.visual(item), dt.encode_text(item.caption, split.vocab)))
-    tables = [
-        pb.xsim_per_layer(params, pairs, label=label) for params, label in reports
+    tables = [  # one model is resident at a time: each is loaded for its own call
+        pb.xsim_per_layer(md.load_checkpoint(ckpt)[1] if ckpt else pb.random_baseline(config),
+                          pairs, label=label)
+        for label, ckpt in models.items()
     ]
     pb.write_probe_table(args.out, tables, meta=_meta(args, argv))
     for table in tables:

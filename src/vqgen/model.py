@@ -156,12 +156,13 @@ class Parameters:
             dst[...] = src
 
     def astype(self, dtype) -> None:
-        """Convert every tensor (and gradient buffer) to the given float dtype."""
+        """Convert every tensor (and gradient buffer, if any) to the given float dtype."""
         if dtype not in (np.float64, np.float32):
             raise ConfigError(f"unsupported parameter dtype {dtype}")
         for p in self._store.values():
             p.value.data = p.value.data.astype(dtype)
-            p.gradient = p.gradient.astype(dtype)
+            if p.gradient is not None:
+                p.gradient = p.gradient.astype(dtype)
 
     @property
     def dtype(self):
@@ -526,18 +527,23 @@ def _read_exact(fh, n: int) -> bytes:
     return raw
 
 
+def read_checkpoint_header(fh) -> tuple[ModelConfig, dict]:
+    """Read an open checkpoint up to its tensors; returns (config, extras dict)."""
+    if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
+        raise CheckpointError("bad checkpoint magic")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
+    kv = _decode_kv(_read_exact(fh, cfg_len))
+    extras = {k[2:]: v for k, v in kv.items() if k.startswith("x.")}
+    return ModelConfig.from_dict({k: v for k, v in kv.items() if not k.startswith("x.")}), extras
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, Parameters, extras dict)."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
-            raise CheckpointError("bad checkpoint magic")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        kv = _decode_kv(_read_exact(fh, cfg_len))
-        extras = {k[2:]: v for k, v in kv.items() if k.startswith("x.")}
-        config = ModelConfig.from_dict({k: v for k, v in kv.items() if not k.startswith("x.")})
+        config, extras = read_checkpoint_header(fh)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         expected = _parameter_shapes(config)
         if count != len(expected):

@@ -2,8 +2,8 @@
 
 Values are backed by numpy arrays (row-major). Every operation that builds a
 Tensor records enough state to push gradients back to its inputs; calling
-``backward_gradients`` on a scalar loss fills in ``Parameter.gradient`` for
-every trainable parameter that participated in the forward pass.
+``backward_gradients`` on a scalar loss fills in ``Parameter.gradient`` (None
+until then) for every trainable parameter that participated in the forward pass.
 
 A vjp asks, when the backward pass reaches it, which operands need a
 gradient: a trainable parameter's tensor or a recorded node (``_needs_grad``).
@@ -83,7 +83,7 @@ class Tensor:
 
 
 class Parameter:
-    """Named learnable tensor with a gradient buffer of identical shape.
+    """Named learnable tensor; `gradient` is None until a backward pass fills it.
 
     The wrapped tensor points back through a weak proxy, so a parameter is
     freed by reference counting as soon as its owner drops it; it must outlive
@@ -98,7 +98,7 @@ class Parameter:
             raise StateError(f"parameter {id!r} must wrap a leaf tensor")
         self.id = id
         self.value = tensor
-        self.gradient = np.zeros_like(tensor.data)
+        self.gradient: Optional[np.ndarray] = None
         self.trainable = trainable
         tensor.param = weakref.proxy(self)
 

@@ -111,8 +111,11 @@ class StagePlan:
         if self.stage == STAGE3:
             if self.init_stage1 is None or self.init_stage2 is None:
                 raise PrerequisiteError("stage3_joint requires stage-1 and stage-2 checkpoints")
-        if self.stage == STAGE3_SCRATCH and (self.init_stage1 or self.init_stage2):
-            raise PrerequisiteError("stage3_from_scratch must not receive init checkpoints")
+        # an init checkpoint the stage never reads is refused, not ignored
+        if self.stage in (STAGE1, STAGE3_SCRATCH) and (self.init_stage1 or self.init_stage2):
+            raise PrerequisiteError(f"{self.stage} must not receive init checkpoints")
+        if self.stage in (STAGE2, STAGE2_UNFREEZE) and self.init_stage2:
+            raise PrerequisiteError(f"{self.stage} must not receive a stage-2 checkpoint")
 
 
 @dataclass

@@ -433,6 +433,59 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert "ProbeError" in err
 
+    @pytest.mark.parametrize("case", ["same checkpoint twice", "stage random and --include-random"])
+    def test_probe_duplicate_label_exits_2(self, tmp_path, pipeline, capsys, monkeypatch, case):
+        from vqgen import model as md
+        from vqgen import probe as pb
+
+        _, data, _, s1, _, s3, *_ = pipeline
+        if case == "same checkpoint twice":
+            args, label, sources = ["--ckpt", str(s3), "--ckpt", str(s3)], "stage3_joint", (s3, s3)
+        else:
+            config, params, _ = md.load_checkpoint(s1)
+            named = tmp_path / "named.ckpt"
+            md.save_checkpoint(named, config, params, extras={"stage": "random"})
+            args, label, sources = ["--ckpt", str(named), "--include-random"], "random", (
+                named, "--include-random")
+
+        def no_probe(*args, **kwargs):
+            pytest.fail("a pair was probed before the labels were checked")
+
+        monkeypatch.setattr(pb, "xsim_per_layer", no_probe)
+        out = tmp_path / "probe.tsv"
+        capsys.readouterr()
+        code = run(["probe", "--data", str(data), "--split", "val", *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert repr(label) in err and all(str(source) in err for source in sources)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, inits", [
+        ("1", ["--init-stage1", "s3"]),
+        ("1", ["--init-stage2", "s2"]),
+        ("2", ["--init-stage1", "s1", "--init-stage2", "s2"]),
+        ("2u", ["--init-stage1", "s1", "--init-stage2", "s2"]),
+    ])
+    def test_unused_init_checkpoint_exits_4(self, tmp_path, pipeline, capsys, monkeypatch,
+                                            stage, inits):
+        from vqgen import training as tr
+
+        def no_training(*args, **kwargs):
+            pytest.fail("run_stage called with an init checkpoint the stage never reads")
+
+        monkeypatch.setattr(tr, "run_stage", no_training)
+        root, data, cfg, *_ = pipeline
+        inits = [str(root / f"{arg}.ckpt") if arg[0] == "s" else arg for arg in inits]
+        out = tmp_path / "x.ckpt"
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(cfg), "--stage", stage,
+                    *inits, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert len(err.strip().splitlines()) == 1 and "PrerequisiteError" in err
+        assert not out.exists()
+
     def test_eval_duplicate_id_exits_3(self, tmp_path, pipeline, capsys):
         _, data, *_, gen_file, _, _ = pipeline
         lines = gen_file.read_text().splitlines()
@@ -537,6 +590,41 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
         assert f"--out {out}" in err and "NotADirectoryError" in err
         assert plain.read_text() == "x"
+
+
+class TestProbeResidency:
+    def test_one_model_alive_at_each_probe_call(self, tmp_path, pipeline, monkeypatch):
+        import weakref
+
+        from vqgen import model as md
+        from vqgen import probe as pb
+
+        _, data, _, s1, s2, s3, *_ = pipeline
+        alive = weakref.WeakSet()
+        seen = []
+        load, random_baseline, xsim = md.load_checkpoint, pb.random_baseline, pb.xsim_per_layer
+
+        def tracked_load(path):
+            config, params, extras = load(path)
+            alive.add(params)
+            return config, params, extras
+
+        def tracked_random(config):
+            params = random_baseline(config)
+            alive.add(params)
+            return params
+
+        def counting_xsim(params, *args, **kwargs):
+            seen.append(len(alive))
+            return xsim(params, *args, **kwargs)
+
+        monkeypatch.setattr(md, "load_checkpoint", tracked_load)
+        monkeypatch.setattr(pb, "random_baseline", tracked_random)
+        monkeypatch.setattr(pb, "xsim_per_layer", counting_xsim)
+        assert run(["probe", "--data", str(data), "--split", "val", "--ckpt", str(s1),
+                    "--ckpt", str(s2), "--ckpt", str(s3), "--include-random",
+                    "--out", str(tmp_path / "probe.tsv")]) == 0
+        assert seen == [1, 1, 1, 1]
 
 
 class TestAtomicOutput:

@@ -346,7 +346,33 @@ class TestGradientsThroughModel:
             assert err < 1e-4, name
 
 
+class TestGradientBuffers:
+    def test_none_before_backward(self, tmp_path):
+        from vqgen import probe as pb
+
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, cfg, md.init_parameters(cfg, 1))
+        converted = md.init_parameters(cfg, 2)
+        converted.astype(np.float32)
+        models = {"init": md.init_parameters(cfg, 3), "load": md.load_checkpoint(path)[1],
+                  "random": pb.random_baseline(cfg), "astype": converted}
+        for kind, params in models.items():
+            assert all(p.gradient is None for p in params.all()), kind
+
+
 class TestCheckpoint:
+    def test_header_read_matches_full_load(self, tmp_path):
+        cfg = tiny_config(use_type_embeddings=True)
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, cfg, md.init_parameters(cfg, 11), extras={"stage": "s"})
+        with open(path, "rb") as fh:
+            header = md.read_checkpoint_header(fh)
+            (count,) = np.frombuffer(fh.read(4), dtype="<u4")
+        config, params, extras = md.load_checkpoint(path)
+        assert header == (config, extras) == (cfg, {"stage": "s"})
+        assert count == len(params.names())
+
     def test_round_trip_exact(self, tmp_path):
         cfg = tiny_config()
         params = md.init_parameters(cfg, 11)

@@ -192,6 +192,7 @@ class TestBackward:
     def test_nontrainable_pinned_to_zero(self):
         w = Parameter("w", np.ones((2, 2)), trainable=False)
         u = Parameter("u", np.ones((2, 2)))
+        assert w.gradient is None and u.gradient is None
         loss = sum_all(nm.add(w.value, u.value))
         backward_gradients(loss, [w, u])
         assert np.array_equal(w.gradient, np.zeros((2, 2)))

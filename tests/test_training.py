@@ -351,7 +351,10 @@ class TestFrozenBackward:
                 params.set_trainable(["projection.weight", "projection.bias"])
             rng = np.random.default_rng(9)
             loss = tr.stage_loss(params, batch, SP, dropout=0.1, rng=rng)
+            assert all(p.gradient is None for p in params.all())  # only backward allocates
             nm.backward_gradients(loss, params.all())
+            for p in params.all():
+                assert p.gradient.shape == p.shape and p.gradient.dtype == dtype, p.id
             grads[frozen] = {n: params[n].gradient for n in params.names()}
         for name in ("projection.weight", "projection.bias"):
             assert grads[True][name].dtype == dtype
@@ -475,6 +478,16 @@ class TestStagePlanValidation:
     def test_scratch_forbids_inits(self):
         with pytest.raises(tr.PrerequisiteError):
             tr.StagePlan(stage=tr.STAGE3_SCRATCH, init_stage1="s1.ckpt")
+
+    @pytest.mark.parametrize("stage, inits", [
+        (tr.STAGE1, {"init_stage1": "s1.ckpt"}),
+        (tr.STAGE1, {"init_stage2": "s2.ckpt"}),
+        (tr.STAGE2, {"init_stage1": "s1.ckpt", "init_stage2": "s2.ckpt"}),
+        (tr.STAGE2_UNFREEZE, {"init_stage1": "s1.ckpt", "init_stage2": "s2.ckpt"}),
+    ])
+    def test_unused_init_refused(self, stage, inits):
+        with pytest.raises(tr.PrerequisiteError, match=stage):
+            tr.StagePlan(stage=stage, **inits)
 
 
 class TestRunStage:
