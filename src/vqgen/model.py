@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -453,12 +454,19 @@ def decode_logits(hidden: Tensor, params: Parameters) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+_ESCAPE = re.compile(r"\\([\\n])")  # the two escapes `_encode_kv` writes
+
+
 def _encode_kv(d: dict) -> bytes:
-    lines = [f"{k}={v}" for k, v in d.items()]
+    """One `key=value` line per entry. A value's backslashes and newlines are
+    written as `\\\\` and `\\n`, so a value holding neither keeps its bytes."""
+    lines = [f"{k}=" + str(v).replace("\\", "\\\\").replace("\n", "\\n") for k, v in d.items()]
     return "\n".join(lines).encode("utf-8")
 
 
 def _decode_kv(raw: bytes) -> dict:
+    """Inverse of `_encode_kv`; a backslash before any other character is kept
+    as written."""
     out: dict[str, str] = {}
     text = raw.decode("utf-8")
     if not text:
@@ -467,7 +475,7 @@ def _decode_kv(raw: bytes) -> dict:
         if "=" not in line:
             raise CheckpointError(f"malformed config line: {line!r}")
         k, v = line.split("=", 1)
-        out[k] = v
+        out[k] = _ESCAPE.sub(lambda m: "\n" if m.group(1) == "n" else "\\", v)
     return out
 
 
@@ -499,6 +507,9 @@ def write_atomically(path, mode: str = "w"):
 def save_checkpoint(path, config: ModelConfig, params: Parameters, extras: Optional[dict] = None):
     """Write the versioned binary checkpoint; tensors stored as little-endian f32."""
     meta = {str(k): str(v) for k, v in (extras or {}).items()}
+    for key in meta:
+        if not key or "=" in key or "\n" in key:
+            raise CheckpointError(f"checkpoint extra key {key!r} is empty or holds '=' or a newline")
     cfg = {k: ("true" if v is True else "false" if v is False else v) for k, v in config.to_dict().items()}
     cfg.update({f"x.{k}": v for k, v in meta.items()})
     blob = _encode_kv(cfg)

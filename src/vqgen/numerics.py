@@ -482,6 +482,11 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
     other parameter in `params` or in the graph (a frozen one, or one the graph
     never touched) gets zeros. Requires `loss` to be a recorded scalar
     computation.
+
+    The pass consumes the graph it walks: once a node's vjp has run, the node
+    drops its parents and its vjp, so each activation is freed as soon as its
+    last consumer's vjp has run, and `loss` keeps only its value. A loss is
+    backpropagated once; a second call raises StateError.
     """
     if not isinstance(loss, Tensor):
         raise StateError("backward_gradients expects a Tensor loss")
@@ -491,9 +496,11 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
         raise StateError("no recorded forward computation behind this loss")
 
     order = _topo_order(loss)
+    in_graph = [node.param for node in order if node.param is not None]
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     done: set[int] = set()  # ids of the parameter tensors given a gradient
-    for node in reversed(order):
+    while order:  # popped, so that `order` holds no node the pass is done with
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -513,8 +520,8 @@ def backward_gradients(loss: Tensor, params: Optional[Iterable[Parameter]] = Non
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+        node._parents, node._vjp = (), None
 
-    in_graph = [node.param for node in order if node.param is not None]
     for p in [*(params or ()), *in_graph]:
         if id(p.value) not in done:
             p.gradient = np.zeros_like(p.value.data)

@@ -194,8 +194,10 @@ def teacher_forced_logits(params: md.Parameters, example: TrainingExample) -> Te
 
 def sequence_log_prob(params: md.Parameters, example: TrainingExample) -> float:
     """Sum over steps of log P(y_t | input, y_<t), end token included."""
-    logits, labels = _batch_logits(params, Batch([example]))
-    probs = nm.softmax_rows(logits).data
+    with nm.no_grad():
+        logits, labels = _batch_logits(params, Batch([example]))
+        probs = nm.softmax_rows(logits).data
+    nm.check_finite(logits, "sequence_log_prob")  # the one check no_grad leaves
     return float(sum(math.log(probs[t, y]) for t, y in enumerate(labels)))
 
 
@@ -284,7 +286,9 @@ def next_token_accuracy(params: md.Parameters, examples: Sequence[TrainingExampl
     """Fraction of teacher-forced steps whose argmax equals the ground truth."""
     hits = total = 0
     for ex in examples:
-        logits, labels = _batch_logits(params, Batch([ex]))
+        with nm.no_grad():
+            logits, labels = _batch_logits(params, Batch([ex]))
+        nm.check_finite(logits, "next_token_accuracy")
         hits += int(np.sum(np.argmax(logits.data, axis=1) == labels))
         total += len(labels)
     return hits / total if total else 0.0

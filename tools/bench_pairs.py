@@ -10,6 +10,10 @@ in odd pairs and this tree first in even pairs. The run length is
 `run_seconds` in this tree's BENCHMARK.json, and the end-to-end metrics, their
 directions and their bounds come from the same file.
 
+Each pair also keeps, per side, the run's operation counts and, from its
+`info` line, its rounds, its set-up times (`setup_s` is their median) and
+its `check_s`.
+
 The file names the tracked files that differ from HEAD and the untracked
 files git does not ignore when the runs start (`change_edited_files`), so a
 run on an edited tree says which edits it measured. For each end-to-end
@@ -151,6 +155,7 @@ def main(argv=None) -> int:
             infos.append(run["info"])
             pair[side] = {name: run["metrics"][name]["value"] for name in names}
             pair[side + "_ops"] = {"attempted": run["attempted"], "failed": run["failed"]}
+            pair[side + "_info"] = {key: run["info"][key] for key in ("rounds", "setup_s", "check_s")}
         pairs.append(pair)
 
     complete = [p for p in pairs if "base" in p and "change" in p]
