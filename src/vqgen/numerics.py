@@ -4,6 +4,9 @@ Values are backed by numpy arrays (row-major). Every operation that builds a
 Tensor records enough state to push gradients back to its inputs; calling
 ``backward_gradients`` on a scalar loss fills in ``Parameter.gradient`` (None
 until then) for every trainable parameter that participated in the forward pass.
+The pass consumes the graph it walks: a node drops its parents and its vjp
+once its vjp has run, so an activation lives only until its last consumer's
+vjp has run, and a loss is backpropagated once.
 
 A vjp asks, when the backward pass reaches it, which operands need a
 gradient: a trainable parameter's tensor or a recorded node (``_needs_grad``).

@@ -1,9 +1,11 @@
 """The paired-run summary of tools/bench_pairs.py on made-up values: a gain
 needs nine wins in ten and a median move beyond the base's spread, and a
 metric that worsens beyond its bound is flagged; the edited-file list with
-`git` stubbed. No subprocess is started."""
+`git` stubbed; the pair records of a whole run with the runs stubbed. No
+subprocess is started."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,30 @@ def test_edited_files_include_untracked_ones(bench_pairs, monkeypatch):
 def test_edited_files_empty_on_a_clean_tree(bench_pairs, monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
     assert bench_pairs.edited_files() == []
+
+
+def test_pair_records_keep_each_runs_info(bench_pairs, monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["bench"], "run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": SPEC}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "f00d" if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pairs, "extract", lambda sha: tmp_path / f"base-{sha}")
+
+    def run_once(tree, command, workload, seed, seconds):
+        side = 0 if tree.name == "base-f00d" else 1
+        info = {"workload": workload, "seed": seed, "rounds": 10 * seed + side,
+                "setup_s": [0.1 * seed, 0.2, 0.3 + side], "check_s": 0.5 + side,
+                "blas_threads": 1, "python": "3.11.7", "numpy": "2.4.6"}
+        value = 100.0 + side
+        return {"info": info, "correct": True, "attempted": 3, "failed": 0, "metrics": {
+            "work_per_s": {"value": value}, "op_ms_p50": {"value": 100.0 / value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "2"]) == 0
+    report = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert [(p["seed"], p["first"]) for p in report["pairs"]] == [(1, "base"), (2, "change")]
+    second = report["pairs"][1]
+    assert second["base_info"] == {"rounds": 20, "setup_s": [0.2, 0.2, 0.3], "check_s": 0.5}
+    assert second["change_info"] == {"rounds": 21, "setup_s": [0.2, 0.2, 1.3], "check_s": 1.5}
+    assert second["change"] == {"work_per_s": 101.0, "op_ms_p50": 100.0 / 101.0}
+    assert report["summary"]["work_per_s"]["pairs_won"] == 2

@@ -134,6 +134,18 @@ class TestPipeline:
         assert extras["seed"] == "5"
         assert extras["command"].startswith("vqgen train")
 
+    def test_checkpoint_path_holding_a_newline(self, pipeline, tmp_path):
+        # the command line the checkpoint embeds holds the newline
+        from vqgen import model as md
+
+        _, data, cfg, *_ = pipeline
+        ckpt = tmp_path / "a\nb.ckpt"
+        assert run(["train", "--data", str(data), "--config", str(cfg), "--seed", "5",
+                    "--stage", "1", "--out", str(ckpt)]) == 0
+        assert run(["probe", "--data", str(data), "--split", "val", "--ckpt", str(ckpt),
+                    "--out", str(tmp_path / "probe.tsv")]) == 0
+        assert md.load_checkpoint(ckpt)[2]["command"].endswith(f"--out {ckpt}")
+
     def test_generate_reports_truncations(self, pipeline, tmp_path, capsys):
         _, data, _, _, _, s3, *_ = pipeline
         out = tmp_path / "short.tsv"

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tests_support import stack_regions
 from vqgen import generation as gen
@@ -423,5 +426,88 @@ class TestCheckpoint:
         md.save_checkpoint(path, cfg, params)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(md.CheckpointError):
+            md.load_checkpoint(path)
+
+    def test_extras_with_backslash_and_newline_round_trip(self, tmp_path):
+        cfg = tiny_config(num_layers=1)
+        path = tmp_path / "model.ckpt"
+        extras = {"command": "x=y\nnum_layers=3", "path": "a\\nb\\", "plain": "s"}
+        md.save_checkpoint(path, cfg, md.init_parameters(cfg, 11), extras=extras)
+        raw = path.read_bytes()
+        (cfg_len,) = np.frombuffer(raw[8:12], dtype="<u4")
+        lines = raw[12 : 12 + cfg_len].decode("utf-8").split("\n")
+        # one escaped line per extra, and no `num_layers=3` line
+        assert lines[-3:] == ["x.command=x=y\\nnum_layers=3", "x.path=a\\\\nb\\\\", "x.plain=s"]
+        config, _, read = md.load_checkpoint(path)
+        assert config == cfg and read == extras
+
+    @pytest.mark.parametrize("key", ["", "a=b", "a\nb"])
+    def test_extras_key_that_cannot_be_read_back_rejected(self, tmp_path, key):
+        cfg = tiny_config(num_layers=1)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(md.CheckpointError, match="extra key"):
+            md.save_checkpoint(path, cfg, md.init_parameters(cfg, 11), extras={key: "c"})
+        assert not path.exists() and not list(tmp_path.iterdir())
+
+
+# Property tests over small configs: a checkpoint holds a few hundred values,
+# so each example saves and loads in about a millisecond.
+PROPERTY = settings(max_examples=60, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+EXTRA_KEYS = st.text(st.characters(codec="utf-8", exclude_characters="=\n"), min_size=1, max_size=8)
+# any text a checkpoint can hold (UTF-8), with the characters the format
+# escapes or splits on drawn often
+EXTRA_VALUES = st.text(st.sampled_from("\\\n=n") | st.characters(codec="utf-8"), max_size=20)
+
+
+@st.composite
+def configs(draw):
+    heads = draw(st.integers(1, 2))
+    return md.ModelConfig(
+        num_layers=draw(st.integers(1, 2)), num_heads=heads,
+        model_dim=heads * draw(st.integers(1, 4)), ffn_dim=draw(st.integers(1, 8)),
+        vocab_size=draw(st.integers(1, 12)), max_positions=draw(st.integers(1, 8)),
+        feature_dim=draw(st.integers(1, 4)), num_regions=draw(st.integers(1, 3)),
+        use_type_embeddings=draw(st.booleans()),
+    )
+
+
+@st.composite
+def checkpoints(draw):
+    """A config, its initialised parameters with one tensor overwritten by
+    arbitrary finite float32 values, and extras holding any text."""
+    config = draw(configs())
+    params = md.init_parameters(config, draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(params.names()))
+    shape = params[name].shape
+    params[name].value.data[...] = draw(hnp.arrays(np.float32, shape, elements=st.floats(
+        width=32, allow_nan=False, allow_infinity=False)))
+    extras = draw(st.dictionaries(EXTRA_KEYS, EXTRA_VALUES, max_size=4))
+    return config, params, extras
+
+
+class TestCheckpointProperties:
+    @PROPERTY
+    @given(checkpoints())
+    def test_save_load_round_trips_bit_exactly(self, tmp_path, ckpt):
+        config, params, extras = ckpt
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, config, params, extras=extras)
+        config2, params2, extras2 = md.load_checkpoint(path)
+        assert config2 == config and extras2 == {str(k): v for k, v in extras.items()}
+        assert params2.names() == params.names()
+        for name in params.names():
+            want = params[name].value.data.astype("<f4").tobytes()
+            assert params2[name].value.data.astype("<f4").tobytes() == want, name
+
+    @PROPERTY
+    @given(checkpoints(), st.floats(0.0, 1.0, exclude_max=True))
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path, ckpt, where):
+        config, params, extras = ckpt
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, config, params, extras=extras)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: int(where * len(raw))])
         with pytest.raises(md.CheckpointError):
             md.load_checkpoint(path)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +206,28 @@ class TestBackward:
         loss = sum_all(nm.mul(w.value, w.value))
         backward_gradients(loss, [w, other])
         assert np.array_equal(other.gradient, np.zeros(2))
+
+    def graph(self):
+        rng = np.random.default_rng(0)
+        w = Parameter("w", rng.normal(size=(4, 4)))
+        b = Parameter("b", rng.normal(size=4))
+        hidden = gelu(affine(rng.normal(size=(3, 4)), w.value, b.value))
+        return w, b, cross_entropy(hidden, [0, 1, 2])
+
+    def test_backward_frees_the_graph_it_walks(self):
+        w, b, loss = self.graph()
+        hidden = weakref.ref(loss._parents[0].data)  # the gelu output
+        value = loss.item()
+        backward_gradients(loss, [w, b])
+        assert hidden() is None  # freed although `loss` is still held
+        assert loss._parents == () and loss._vjp is None and loss.item() == value
+        assert w.gradient.shape == (4, 4) and np.any(w.gradient != 0.0)
+
+    def test_second_backward_raises(self):
+        w, b, loss = self.graph()
+        backward_gradients(loss, [w, b])
+        with pytest.raises(nm.StateError, match="no recorded forward computation"):
+            backward_gradients(loss, [w, b])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_finite_difference_core_ops(self, seed):

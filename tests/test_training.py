@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -576,6 +577,22 @@ class TestRunStage:
             params3["projection.weight"].value.data,
             s2.params["projection.weight"].value.data.astype(np.float32),
         )
+
+    def test_step_does_not_hold_the_previous_steps_graph(self, small_world, monkeypatch):
+        # the logits of step k are freed by its backward pass, before step k+1's forward
+        _, split, config = small_world
+        logits, stage_loss = [], tr.stage_loss
+
+        def keeping(*args, **kwargs):
+            assert all(ref() is None for ref in logits), f"step {len(logits)} holds an old graph"
+            loss = stage_loss(*args, **kwargs)
+            logits.append(weakref.ref(loss._parents[0].data))
+            return loss
+
+        monkeypatch.setattr(tr, "stage_loss", keeping)
+        tr.run_stage(tr.StagePlan(stage=tr.STAGE1, epochs=1, batch_size=8, seed=1, max_steps=3),
+                     split, config)
+        assert len(logits) == 3
 
     def test_training_log_schema(self, small_world, tmp_path):
         _, split, config = small_world
