@@ -145,29 +145,19 @@ def _cmd_synth(args, argv) -> int:
     return EXIT_OK
 
 
-def _require_checkpoint_path(path, what: str):
-    if path is None:
-        return None
-    if not Path(path).exists():
-        raise tr.PrerequisiteError(f"{what} checkpoint not found: {path}")
-    return path
-
-
 def _cmd_train(args, argv) -> int:
     split = dt.load_split(args.data, "train")
     config, plan_values = _read_config(
         args.config, {"vocab_size": len(split.vocab)}, "data vocabulary"
     )
-    split.features.expected_regions = config.num_regions
-    split.features.expected_dim = config.feature_dim
     _print_run_header(args, config)
 
     stage = STAGE_FLAGS[args.stage]
     plan_kwargs = dict(
         stage=stage,
         seed=args.seed,
-        init_stage1=_require_checkpoint_path(args.init_stage1, "stage-1"),
-        init_stage2=_require_checkpoint_path(args.init_stage2, "stage-2"),
+        init_stage1=args.init_stage1,
+        init_stage2=args.init_stage2,
         **plan_values,
     )
     for name in ("epochs", "batch_size", "base_lr", "dropout", "max_steps"):
@@ -187,22 +177,12 @@ def _cmd_train(args, argv) -> int:
     return EXIT_OK
 
 
-def _load_model_and_split(ckpt_path, data_dir, split_name):
-    config, params, extras = md.load_checkpoint(ckpt_path)
-    split = dt.load_split(
-        data_dir, split_name, expected_regions=config.num_regions, expected_dim=config.feature_dim
-    )
-    if len(split.vocab) != config.vocab_size:
-        raise md.ConfigError(
-            f"checkpoint vocabulary {config.vocab_size} != data vocabulary {len(split.vocab)}"
-        )
-    return config, params, extras, split
-
-
 def _cmd_generate(args, argv) -> int:
     if args.max_length < 1:
         raise UsageError(f"--max-length must be >= 1, got {args.max_length}")
-    config, params, _, split = _load_model_and_split(args.ckpt, args.data, args.split)
+    config, params, _ = md.load_checkpoint(args.ckpt)
+    split = dt.load_split(args.data, args.split)
+    split.check_model(config)
     _print_run_header(args, config)
     mode = GENERATE_MODES[args.mode]
     lines = []
@@ -212,7 +192,7 @@ def _cmd_generate(args, argv) -> int:
         room = config.max_positions - len(inp)  # the last step's mask takes the last slot
         if room < 1:
             raise md.ConfigError(f"item {item.id}: no room to generate within max_positions")
-        out = gen.generate(params, inp, gen.GenerationConfig(max_length=min(args.max_length, room)))
+        out = gen.generate(params, inp, min(args.max_length, room))
         truncated += out.truncated
         lines.append(f"{item.id}\t{dt.decode_text(out.tokens, split.vocab)}")
     with md.write_atomically(args.out) as fh:
@@ -284,12 +264,7 @@ def _cmd_probe(args, argv) -> int:
                              f"{ckpt or '--include-random'}")
         models[label] = ckpt
     config, _ = _read_config(args.config, fixed, source)
-    if config.vocab_size != len(split.vocab):
-        raise md.ConfigError(
-            f"checkpoint vocabulary {config.vocab_size} != data vocabulary {len(split.vocab)}"
-        )
-    split.features.expected_regions = config.num_regions
-    split.features.expected_dim = config.feature_dim
+    split.check_model(config)
     _print_run_header(args, config)
 
     pairs = []
@@ -379,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 # every loader and input check raises a ValueError subclass
 _DATA_ERRORS = (ValueError, nm.StateError, OSError)
 
-_NUMERIC_ERRORS = (tr.NumericFailure, nm.NumericError)
+_NUMERIC_ERRORS = (nm.NumericError,)
 
 
 def _fail(code: int, exc: Exception) -> int:

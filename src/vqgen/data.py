@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import multimodal as mm
-from .model import SpecialTokens
+from .model import ConfigError, ModelConfig, SpecialTokens
 from .multimodal import VisualSequence
 
 FEATURE_MAGIC = b"VFEA"
@@ -243,10 +243,9 @@ def resolve_feature_ref(ref: str, base_dir) -> tuple[Path, int]:
 class FeatureStore:
     """Lazy per-file cache resolving feature_ref strings to visual sequences."""
 
-    def __init__(self, base_dir, expected_regions=None, expected_dim=None):
+    def __init__(self, base_dir):
         self.base_dir = Path(base_dir)
-        self.expected_regions = expected_regions
-        self.expected_dim = expected_dim
+        self.expected_regions = self.expected_dim = None  # set by LoadedSplit.check_model
         self._cache: dict[Path, list[VisualSequence]] = {}
 
     def get(self, ref: str) -> VisualSequence:
@@ -407,6 +406,22 @@ class LoadedSplit:
     vocab: Vocabulary
     features: FeatureStore
 
+    def check_model(self, config: ModelConfig) -> None:
+        """Raise unless the split fits a model of `config`: `ConfigError` when the
+        vocabulary sizes differ, `DimensionError` naming the path when a feature
+        file, read before this call or after it, does not hold
+        `config.num_regions` regions of `config.feature_dim` features."""
+        if len(self.vocab) != config.vocab_size:
+            raise ConfigError(
+                f"model vocabulary {config.vocab_size} != data vocabulary {len(self.vocab)}"
+            )
+        store = self.features
+        store.expected_regions, store.expected_dim = config.num_regions, config.feature_dim
+        for path, sequences in store._cache.items():  # files read before this call
+            if sequences and sequences[0].features.shape != (config.num_regions, config.feature_dim):
+                raise DimensionError(f"{path}: regions are {sequences[0].features.shape}, expected "
+                                     f"{config.num_regions} of feature dim {config.feature_dim}")
+
     def visual(self, item: CorpusItem) -> VisualSequence:
         return self.features.get(item.feature_ref)
 
@@ -425,14 +440,13 @@ def load_split(
     split: str,
     *,
     vocab: Optional[Vocabulary] = None,
-    expected_regions: Optional[int] = None,
-    expected_dim: Optional[int] = None,
 ) -> LoadedSplit:
-    """Load one split; the vocabulary defaults to one built from the train split."""
+    """Load one split; the vocabulary defaults to one built from the train split.
+    Its features are read as they are first used; `LoadedSplit.check_model`
+    fixes the region count and feature dimension every file must hold."""
     data_dir = Path(data_dir)
     items = load_corpus(data_dir / f"{split}.jsonl")
     if vocab is None:
         train_items = items if split == "train" else load_corpus(data_dir / "train.jsonl")
         vocab = build_vocab(train_items)
-    store = FeatureStore(data_dir, expected_regions=expected_regions, expected_dim=expected_dim)
-    return LoadedSplit(items=items, vocab=vocab, features=store)
+    return LoadedSplit(items=items, vocab=vocab, features=FeatureStore(data_dir))

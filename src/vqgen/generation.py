@@ -28,15 +28,6 @@ from .multimodal import AssembledInput
 
 
 @dataclass
-class GenerationConfig:
-    max_length: int = 24
-
-    def __post_init__(self):
-        if self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
-
-
-@dataclass
 class GenerationOutput:
     """Generated tokens (end-of-sequence excluded) and per-step decision logits."""
 
@@ -76,10 +67,6 @@ def next_token(
     """
     n_input = len(input)
     total = n_input + len(prefix) + 1
-    if total > params.config.max_positions:
-        raise nm.ShapeError(
-            f"sequence of {total} slots exceeds max_positions {params.config.max_positions}"
-        )
     past = len(cache) if cache is not None else 0
     if past and not n_input <= past < total:
         raise nm.StateError(f"cache holds {past} rows; expected {n_input}..{total - 1}")
@@ -101,17 +88,20 @@ def next_token(
 def generate(
     params: md.Parameters,
     input: AssembledInput,
-    cfg: GenerationConfig,
+    max_length: int,
     *,
     keep_logits: bool = False,
 ) -> GenerationOutput:
-    """Greedy decode until [EOS] or max_length; deterministic given params/input."""
+    """Greedy decode until [EOS] or `max_length` tokens; deterministic given
+    params/input."""
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
     special = md.SpecialTokens()
     tokens: list[int] = []
     logits_log: list[np.ndarray] = [] if keep_logits else None
     truncated = False
     cache = md.KVCache()
-    for _ in range(cfg.max_length):
+    for _ in range(max_length):
         tok, logits = next_token(params, input, tokens, mask_id=special.mask, cache=cache)
         if keep_logits:
             logits_log.append(logits)

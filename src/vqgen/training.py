@@ -56,10 +56,6 @@ class PrerequisiteError(RuntimeError):
     """A stage was started without the checkpoints its initialization needs."""
 
 
-class NumericFailure(RuntimeError):
-    """Training hit a non-finite loss; carries step diagnostics."""
-
-
 @dataclass
 class TrainingExample:
     input: mm.AssembledInput
@@ -203,12 +199,13 @@ def sequence_log_prob(params: md.Parameters, example: TrainingExample) -> float:
 
 def _embed_batch(
     params: md.Parameters, batch: Batch, special: md.SpecialTokens
-) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Teacher-forcing rows of a batch, one row block per run of consecutive
     examples that share an input (see module doc), padded once to the
-    longest: the (G, R, d) embedding, the (G, R, R) allow mask, the flat
-    indices of the prediction rows and the labels they predict, both in
-    example order.
+    longest: the (G, R, d) embedding, the (G, R, R) allow mask, the (G, P)
+    prediction rows of each block (padded with row 0), the indices into the
+    flattened (G * P) prediction rows that put them in example order, and
+    the labels they predict.
 
     Region slots occupy the same rows in every block of an image-mode batch
     (the assembled layout is uniform), so one projection covers them.
@@ -221,14 +218,16 @@ def _embed_batch(
     positions = np.zeros((len(groups), r_max), dtype=np.int64)
     allow = np.zeros((len(groups), r_max, r_max), dtype=bool)
     allow[:, :, 0] = True  # real rows see slot 0 anyway; pad rows need one key
-    regions, layouts, pred_rows, labels = [], set(), [], []
+    p_max = max(sum(len(ex.target) + 1 for ex in g) for g in groups)
+    out_rows = np.zeros((len(groups), p_max), dtype=np.int64)  # pad rows read row 0
+    regions, layouts, order, labels = [], set(), [], []
     for b, group in enumerate(groups):
         inp = group[0].input
         n = len(inp)
         ids[b, :n] = inp.ids
         positions[b, :n] = inp.positions
         allow[b, :n, :n] = True
-        r = n
+        r, p = n, 0
         for ex in group:
             t = len(ex.target)
             block = teacher_forcing_mask(n, t)[n:]
@@ -237,16 +236,17 @@ def _embed_batch(
             positions[b, rows] = [*range(n, n + t), *range(n, n + t + 1)]
             allow[b, rows, :n] = block[:, :n]
             allow[b, rows, rows] = block[:, n:]
-            pred_rows.extend(range(b * r_max + r + t, b * r_max + rows.stop))
+            out_rows[b, p : p + t + 1] = range(r + t, rows.stop)
+            order += range(b * p_max + p, b * p_max + p + t + 1)
             labels += [*ex.target, special.eos]
-            r = rows.stop
+            r, p = rows.stop, p + t + 1
         regions.append(inp.regions)
         layouts.add((inp.visual_span, inp.regions.shape))
     if len(layouts) > 1:
         raise nm.ShapeError("mixed input layouts or region dims inside one batch")
     visual_span = batch.examples[0].input.visual_span
     x = md.embed_rows(params, ids, positions, np.stack(regions), visual_span)
-    return x, allow, np.asarray(pred_rows), np.asarray(labels)
+    return x, allow, out_rows, np.asarray(order), np.asarray(labels)
 
 
 def _batch_logits(
@@ -259,14 +259,9 @@ def _batch_logits(
 ) -> tuple[Tensor, np.ndarray]:
     """Logits at every prediction slot of the batch, example by example, and
     the labels they are scored against."""
-    x, allow, pred_rows, labels = _embed_batch(params, batch, special)
-    b, r, d = x.shape
-    blocks, rows = np.divmod(pred_rows, r)
-    slots = np.arange(len(rows)) - np.searchsorted(blocks, blocks)
-    out_rows = np.zeros((b, slots.max() + 1), dtype=np.int64)  # pad rows read row 0
-    out_rows[blocks, slots] = rows
+    x, allow, out_rows, order, labels = _embed_batch(params, batch, special)
     states = md.encode_states(x, allow, params, dropout=dropout, rng=rng, out_rows=out_rows)
-    pred_states = nm.take_rows(nm.reshape(states[-1], (-1, d)), blocks * out_rows.shape[1] + slots)
+    pred_states = nm.take_rows(nm.reshape(states[-1], (-1, x.shape[2])), order)
     return md.decode_logits(pred_states, params), labels
 
 
@@ -302,6 +297,8 @@ def next_token_accuracy(params: md.Parameters, examples: Sequence[TrainingExampl
 def _resolve_init(ref, expected_config: md.ModelConfig) -> md.Parameters:
     if isinstance(ref, md.Parameters):
         return ref
+    if not Path(ref).exists():
+        raise PrerequisiteError(f"init checkpoint not found: {ref}")
     config, params, _ = md.load_checkpoint(ref)
     if config != expected_config:
         raise md.ConfigError("init checkpoint config differs from the requested config")
@@ -329,14 +326,12 @@ def initialize_stage(plan: StagePlan, config: md.ModelConfig) -> md.Parameters:
 
 
 def run_stage(plan: StagePlan, corpus: dt.LoadedSplit, config: md.ModelConfig) -> StageResult:
-    """Train one stage over the corpus; deterministic for a fixed seed."""
+    """Train one stage over the corpus; deterministic for a fixed seed. A
+    step's `NumericError` is raised again with the stage, step and lr added."""
+    corpus.check_model(config)
     mode = STAGE_MODES[plan.stage]
     params = initialize_stage(plan, config)
     special = corpus.vocab.special
-    if len(corpus.vocab) != config.vocab_size:
-        raise md.ConfigError(
-            f"vocabulary size {len(corpus.vocab)} differs from config {config.vocab_size}"
-        )
 
     n_examples = sum(len(item.questions) for item in corpus.items)
     steps_per_epoch = math.ceil(n_examples / plan.batch_size)
@@ -357,24 +352,24 @@ def run_stage(plan: StagePlan, corpus: dt.LoadedSplit, config: md.ModelConfig) -
         for batch in make_batches(corpus, mode, plan.batch_size, [plan.seed, 1000 + epoch]):
             if step >= total_steps:
                 break
-            loss = stage_loss(params, batch, special, dropout=plan.dropout, rng=dropout_rng)
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise NumericFailure(
-                    f"non-finite loss at stage={plan.stage} step={step} "
+            try:
+                loss = stage_loss(params, batch, special, dropout=plan.dropout, rng=dropout_rng)
+                nm.backward_gradients(loss, all_params)
+                if plan.grad_clip > 0:
+                    nm.clip_gradients(all_params, plan.grad_clip)
+                nm.adam_step(all_params, optimizer)
+            except nm.NumericError as exc:
+                raise nm.NumericError(
+                    f"{exc} at stage={plan.stage} step={step + 1} "
                     f"lr={nm.lr_schedule(optimizer, step + 1):.3e}"
-                )
-            nm.backward_gradients(loss, all_params)
-            if plan.grad_clip > 0:
-                nm.clip_gradients(all_params, plan.grad_clip)
-            nm.adam_step(all_params, optimizer)
+                ) from exc
             step += 1
             history.append(
                 LogRecord(
                     step=step,
                     stage=plan.stage,
                     lr=nm.lr_schedule(optimizer, step),
-                    loss=loss_value,
+                    loss=loss.item(),
                 )
             )
     return StageResult(stage=plan.stage, config=config, params=params, history=history)

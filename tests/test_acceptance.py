@@ -67,7 +67,7 @@ def synth_root(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def corpus(synth_root):
-    train = dt.load_split(synth_root, "train", expected_regions=8, expected_dim=32)
+    train = dt.load_split(synth_root, "train")
     val = dt.load_split(synth_root, "val", vocab=train.vocab)
     test = dt.load_split(synth_root, "test", vocab=train.vocab)
     return train, val, test
@@ -172,7 +172,7 @@ def test_criterion_02_incremental_decoding_consistency():
     for case in range(25):
         params = md.init_parameters(config, int(rng.integers(1 << 30)))
         inp = random_caption_input(config, rng, int(rng.integers(1, 6)))
-        out = gen.generate(params, inp, gen.GenerationConfig(max_length=5), keep_logits=True)
+        out = gen.generate(params, inp, 5, keep_logits=True)
         prefix = []
         for t, step_logits in enumerate(out.step_logits):
             _, solo = gen.next_token(params, inp, prefix, mask_id=SP.mask)
@@ -267,7 +267,7 @@ def test_criterion_04_freezing_contract(tmp_path):
     root = tmp_path / "freeze-data"
     dt.synth_dataset(root, seed=33, n_train=24, n_val=2, n_test=2,
                      refs_per_item=3, num_regions=3, feature_dim=16)
-    train = dt.load_split(root, "train", expected_regions=3, expected_dim=16)
+    train = dt.load_split(root, "train")
     config = md.ModelConfig(num_layers=2, num_heads=2, model_dim=32, ffn_dim=64,
                             vocab_size=len(train.vocab), max_positions=48,
                             feature_dim=16, num_regions=3)
@@ -353,7 +353,7 @@ def test_criterion_07_overfit_sanity(tmp_path):
     # 32 items x 1 question = 32 unambiguous training examples (two questions
     # for one caption force an unavoidable error at their first divergence)
     dt.synth_dataset(root, seed=55, n_train=32, n_val=1, n_test=1, refs_per_item=1)
-    train = dt.load_split(root, "train", expected_regions=8, expected_dim=32)
+    train = dt.load_split(root, "train")
     config = md.ModelConfig(vocab_size=len(train.vocab))
     plan = tr.StagePlan(stage=tr.STAGE1, seed=4, epochs=100, batch_size=8,
                         dropout=0.0, max_steps=300)
@@ -406,7 +406,7 @@ def test_criterion_09_staging_benefit(staged_runs, corpus, toy_config):
                 mm.IMAGE_PLUS_CAPTION, visual=test.visual(item), caption=caption_ids,
                 cls_id=special.cls, sep_id=special.sep,
             )
-            out = gen.generate(params, inp, gen.GenerationConfig(max_length=16))
+            out = gen.generate(params, inp, 16)
             cands.append(dt.decode_text(out.tokens, train.vocab))
             refs.append(item.questions)
         return mx.cider(mx.EvalCorpus.from_strings(cands, refs))
@@ -429,7 +429,7 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     root = tmp_path / "det-data"
     dt.synth_dataset(root, seed=77, n_train=10, n_val=2, n_test=2,
                      refs_per_item=3, num_regions=3, feature_dim=16)
-    train = dt.load_split(root, "train", expected_regions=3, expected_dim=16)
+    train = dt.load_split(root, "train")
     config = md.ModelConfig(num_layers=2, num_heads=2, model_dim=32, ffn_dim=64,
                             vocab_size=len(train.vocab), max_positions=48,
                             feature_dim=16, num_regions=3)
@@ -468,7 +468,7 @@ def test_criterion_10_determinism_and_formats(tmp_path):
                 mm.CAPTION_ONLY, caption=dt.encode_text(item.caption, train.vocab),
                 cls_id=special.cls, sep_id=special.sep,
             )
-            out = gen.generate(params, inp, gen.GenerationConfig(max_length=12))
+            out = gen.generate(params, inp, 12)
             outs.append(dt.decode_text(out.tokens, train.vocab))
         return outs
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -179,7 +180,7 @@ class TestPipeline:
         assert run(["generate", "--data", str(data), "--split", "test", "--ckpt", str(ckpt),
                     "--mode", "caption", "--max-length", "1", "--out", str(out)]) == 0
         params = md.load_checkpoint(ckpt)[1]
-        expected = [dt.decode_text(gen.generate(params, inp, gen.GenerationConfig(1)).tokens,
+        expected = [dt.decode_text(gen.generate(params, inp, 1).tokens,
                                    split.vocab) for inp in inputs]
         texts = [line.split("\t", 1)[1] for line in out.read_text().splitlines()[1:]]
         assert texts == expected
@@ -352,6 +353,23 @@ class TestErrors:
                     "--stage", "1", "--lr", "1e30", "--max-steps", "30",
                     "--out", str(tmp_path / "x.ckpt")])
         assert code == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_blowup_names_op_stage_and_step(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1",
+                    "--train", "8", "--val", "1", "--test", "1",
+                    "--regions", "3", "--feature-dim", "16"]) == 0
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG + "grad_clip=0\ndtype=float32\n")
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--config", str(cfg), "--seed", "1",
+                    "--stage", "1", "--lr", "1e30", "--max-steps", "30",
+                    "--out", str(tmp_path / "x.ckpt")]) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert re.search(r"kind=NumericError msg=\w+ produced non-finite values "
+                         r"at stage=stage1_caption_only step=\d+ lr=", err[0]), err[0]
 
     def test_checkpoint_data_mismatch_exits_3(self, tmp_path, pipeline):
         _, data, cfg, s1, *_ = pipeline

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vqgen import data as dt
+from vqgen import model as md
 from tests_support import stack_regions
 
 
@@ -204,7 +205,7 @@ class TestSynthDataset:
 
     def test_questions_reference_main_object_attributes(self, tmp_path):
         dt.synth_dataset(tmp_path, seed=3, n_train=8, n_val=1, n_test=1)
-        split = dt.load_split(tmp_path, "train", expected_dim=32)
+        split = dt.load_split(tmp_path, "train")
         for item in split.items:
             visual = split.visual(item)
             main = visual.features[0]
@@ -227,10 +228,47 @@ class TestSynthDataset:
 
     def test_load_split_resolves_features(self, tmp_path):
         dt.synth_dataset(tmp_path, seed=2, n_train=50, n_val=2, n_test=2)
-        split = dt.load_split(tmp_path, "val", expected_regions=8, expected_dim=32)
+        split = dt.load_split(tmp_path, "val")
         assert len(split.items) == 2
         visual = split.visual(split.items[0])
         assert len(visual) == 8
         # vocabulary built from train split covers the val questions
         ids = dt.encode_text(split.items[0].questions[0], split.vocab)
         assert split.vocab.special.unk not in ids
+
+
+class TestCheckModel:
+    """`LoadedSplit.check_model`: the one check that a split fits a model."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        dt.synth_dataset(tmp_path, seed=2, n_train=4, n_val=2, n_test=2,
+                         num_regions=3, feature_dim=16)
+        return tmp_path
+
+    def config(self, split, **overrides):
+        values = dict(num_layers=1, num_heads=1, model_dim=8, ffn_dim=8, max_positions=48,
+                      vocab_size=len(split.vocab), num_regions=3, feature_dim=16)
+        return md.ModelConfig(**{**values, **overrides})
+
+    def test_fitting_model_accepted(self, root):
+        split = dt.load_split(root, "val")
+        split.visual(split.items[0])
+        split.check_model(self.config(split))
+        assert len(split.visual(split.items[1])) == 3
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    @pytest.mark.parametrize("key", ["num_regions", "feature_dim"])
+    def test_feature_file_off_the_model_rejected(self, root, read_first, key):
+        split = dt.load_split(root, "val")
+        if read_first:
+            split.visual(split.items[0])
+        config = self.config(split, **{key: {"num_regions": 2, "feature_dim": 15}[key]})
+        with pytest.raises(dt.DimensionError, match="val.features"):
+            split.check_model(config)
+            split.visual(split.items[0])
+
+    def test_vocabulary_of_another_size_rejected(self, root):
+        split = dt.load_split(root, "val")
+        with pytest.raises(md.ConfigError, match="vocabulary"):
+            split.check_model(self.config(split, vocab_size=len(split.vocab) + 1))

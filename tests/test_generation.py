@@ -101,9 +101,7 @@ class TestGenerate:
         cfg = tiny_config()
         params = md.init_parameters(cfg, 0)
         rig_constant_winner(params, SP.eos)
-        out = gen.generate(
-            params, caption_input(cfg, [8]), gen.GenerationConfig(max_length=5)
-        )
+        out = gen.generate(params, caption_input(cfg, [8]), 5)
         assert out.tokens == []
         assert out.truncated is False
 
@@ -111,19 +109,23 @@ class TestGenerate:
         cfg = tiny_config()
         params = md.init_parameters(cfg, 0)
         rig_constant_winner(params, 7)
-        out = gen.generate(
-            params, caption_input(cfg, [8]), gen.GenerationConfig(max_length=5)
-        )
+        out = gen.generate(params, caption_input(cfg, [8]), 5)
         assert out.tokens == [7, 7, 7, 7, 7]
         assert out.truncated is True
+
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_max_length_below_one_rejected(self, max_length):
+        cfg = tiny_config()
+        params = md.init_parameters(cfg, 0)
+        with pytest.raises(ValueError, match="max_length"):
+            gen.generate(params, caption_input(cfg, [8]), max_length)
 
     def test_deterministic_rerun(self):
         cfg = tiny_config()
         params = md.init_parameters(cfg, 42)
         inp = caption_input(cfg, [8, 9, 10])
-        cfg_g = gen.GenerationConfig(max_length=6)
-        a = gen.generate(params, inp, cfg_g, keep_logits=True)
-        b = gen.generate(params, inp, cfg_g, keep_logits=True)
+        a = gen.generate(params, inp, 6, keep_logits=True)
+        b = gen.generate(params, inp, 6, keep_logits=True)
         assert a.tokens == b.tokens
         for la, lb in zip(a.step_logits, b.step_logits):
             assert np.array_equal(la, lb)
@@ -135,7 +137,7 @@ class TestGenerate:
         params = md.init_parameters(cfg, seed)
         rng = np.random.default_rng(seed)
         inp = caption_input(cfg, list(rng.integers(6, cfg.vocab_size, size=3)))
-        out = gen.generate(params, inp, gen.GenerationConfig(max_length=5), keep_logits=True)
+        out = gen.generate(params, inp, 5, keep_logits=True)
         prefix = []
         for t, step_logits in enumerate(out.step_logits):
             tok, solo = gen.next_token(params, inp, prefix, mask_id=SP.mask)
@@ -192,7 +194,7 @@ def uncached_greedy(params, inp, max_length):
 
 
 def assert_cached_matches_uncached(params, inp, max_length):
-    out = gen.generate(params, inp, gen.GenerationConfig(max_length=max_length), keep_logits=True)
+    out = gen.generate(params, inp, max_length, keep_logits=True)
     tokens, logits_log, truncated = uncached_greedy(params, inp, max_length)
     assert out.tokens == tokens
     assert out.truncated is truncated
@@ -234,7 +236,7 @@ class TestCachedDecoding:
         with pytest.raises(nm.ShapeError) as oracle:
             gen.next_token(params, inp, [7] * room, mask_id=SP.mask)
         with pytest.raises(nm.ShapeError) as cached:
-            gen.generate(params, inp, gen.GenerationConfig(max_length=room + 1))
+            gen.generate(params, inp, room + 1)
         assert str(cached.value) == str(oracle.value)
 
     def test_cache_holds_input_and_prefix(self):
@@ -266,6 +268,6 @@ class TestNonFiniteWeights:
         params = md.init_parameters(cfg, 0)
         params["layer0.ffn.w1"].value.data[0, 0] = np.nan
         with pytest.raises(nm.NumericError):
-            gen.generate(params, caption_input(cfg, [8]), gen.GenerationConfig(max_length=3))
+            gen.generate(params, caption_input(cfg, [8]), 3)
         with pytest.raises(nm.NumericError):
             gen.next_token(params, caption_input(cfg, [8]), [], mask_id=SP.mask)

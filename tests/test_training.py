@@ -22,7 +22,7 @@ def small_world(tmp_path_factory):
     root = tmp_path_factory.mktemp("synth")
     dt.synth_dataset(root, seed=11, n_train=8, n_val=2, n_test=2,
                      refs_per_item=3, num_regions=3, feature_dim=16)
-    split = dt.load_split(root, "train", expected_regions=3, expected_dim=16)
+    split = dt.load_split(root, "train")
     config = md.ModelConfig(
         num_layers=2, num_heads=2, model_dim=32, ffn_dim=64,
         vocab_size=len(split.vocab), max_positions=48,
@@ -376,9 +376,9 @@ def uneven_batch(split, mode):
 def prediction_rows_by_block(params, batch):
     """The batch's embedding and mask, and per block the rows whose
     last-layer state the loss reads, in order."""
-    x, allow, pred_rows, _ = tr._embed_batch(params, batch, SP)
-    r = x.shape[1]
-    per_block = [[int(k) % r for k in pred_rows if k // r == b] for b in range(x.shape[0])]
+    x, allow, out_rows, order, _ = tr._embed_batch(params, batch, SP)
+    p = out_rows.shape[1]
+    per_block = [out_rows[b, order[order // p == b] % p].tolist() for b in range(x.shape[0])]
     assert len({len(rows) for rows in per_block}) > 1
     return x, allow, per_block
 
@@ -593,6 +593,21 @@ class TestRunStage:
         tr.run_stage(tr.StagePlan(stage=tr.STAGE1, epochs=1, batch_size=8, seed=1, max_steps=3),
                      split, config)
         assert len(logits) == 3
+
+    def test_feature_files_off_the_config_refused(self, small_world):
+        # a fresh split: the shared one's feature store has already been checked
+        root, _, config = small_world
+        split = dt.load_split(root, "train")
+        plan = tr.StagePlan(stage=tr.STAGE3_SCRATCH, epochs=1, batch_size=8, seed=1, max_steps=1)
+        with pytest.raises(dt.DimensionError, match="train.features"):
+            tr.run_stage(plan, split, dataclasses.replace(config, num_regions=2))
+
+    def test_missing_init_checkpoint_is_a_prerequisite(self, small_world, tmp_path):
+        _, split, config = small_world
+        plan = tr.StagePlan(stage=tr.STAGE2, epochs=1, batch_size=8, seed=1, max_steps=1,
+                            init_stage1=tmp_path / "missing.ckpt")
+        with pytest.raises(tr.PrerequisiteError, match="missing.ckpt"):
+            tr.run_stage(plan, split, config)
 
     def test_training_log_schema(self, small_world, tmp_path):
         _, split, config = small_world

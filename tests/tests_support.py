@@ -24,9 +24,10 @@ def sum_all(x):
 def full_rows_stage_loss(params, batch, special=md.SpecialTokens()):
     """`training.stage_loss` at dropout 0 with every row through the last
     layer: the full encode, then `take_rows` of the prediction rows."""
-    x, allow, pred_rows, labels = tr._embed_batch(params, batch, special)
+    x, allow, out_rows, order, labels = tr._embed_batch(params, batch, special)
     b, r, d = x.shape
     states = md.encode_states(x, allow, params)
+    pred_rows = (out_rows + r * np.arange(b)[:, None]).reshape(-1)[order]
     pred_states = nm.take_rows(nm.reshape(states[-1], (b * r, d)), pred_rows)
     return nm.cross_entropy(md.decode_logits(pred_states, params), labels)
 
