@@ -258,14 +258,13 @@ class TestCheckModel:
         assert len(split.visual(split.items[1])) == 3
 
     @pytest.mark.parametrize("read_first", [True, False])
-    @pytest.mark.parametrize("key", ["num_regions", "feature_dim"])
-    def test_feature_file_off_the_model_rejected(self, root, read_first, key):
+    @pytest.mark.parametrize("override", [{"num_regions": 2}, {"feature_dim": 15}])
+    def test_feature_file_off_the_model_rejected(self, root, read_first, override):
         split = dt.load_split(root, "val")
         if read_first:
             split.visual(split.items[0])
-        config = self.config(split, **{key: {"num_regions": 2, "feature_dim": 15}[key]})
         with pytest.raises(dt.DimensionError, match="val.features"):
-            split.check_model(config)
+            split.check_model(self.config(split, **override))
             split.visual(split.items[0])
 
     def test_vocabulary_of_another_size_rejected(self, root):
